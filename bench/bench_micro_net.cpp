@@ -11,7 +11,7 @@ namespace {
 using namespace sdsm::net;
 
 void BM_PingPong(benchmark::State& state) {
-  Network net(2);
+  InProcTransport net(2);
   std::atomic<bool> stop{false};
   std::thread server([&] {
     for (;;) {
@@ -43,7 +43,7 @@ BENCHMARK(BM_PingPong);
 
 void BM_PayloadThroughput(benchmark::State& state) {
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  Network net(2);
+  InProcTransport net(2);
   std::thread server([&] {
     for (;;) {
       Message req = net.recv(Port::kService, 1);
@@ -81,7 +81,7 @@ void BM_BatchedVsSingleRequests(benchmark::State& state) {
   // (range(0)=0) or as one batched message (range(0)=1).
   const bool batched = state.range(0) == 1;
   constexpr int kRequests = 32;
-  Network net(2);
+  InProcTransport net(2);
   std::thread server([&] {
     for (;;) {
       Message req = net.recv(Port::kService, 1);

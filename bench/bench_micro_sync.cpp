@@ -2,6 +2,7 @@
 // barrier cost by node count, lock round-trips, page-fault + fetch cost.
 #include <benchmark/benchmark.h>
 
+#include "src/core/descriptor.hpp"
 #include "src/core/dsm.hpp"
 
 namespace {
@@ -110,10 +111,9 @@ void BM_ValidatePrefetch(benchmark::State& state) {
       }
       self.barrier();
       if (self.id() == 1) {
-        self.validate({direct_desc(
-            arr.addr, sizeof(double),
-            rsd::ArrayLayout{{static_cast<std::int64_t>(n)}, true},
-            rsd::RegularSection::dense1d(0, n - 1), Access::kRead, 0)});
+        self.validate({DescriptorBuilder::array(arr)
+                           .elements(0, static_cast<std::int64_t>(n) - 1)
+                           .read()});
         double sum = 0;
         for (std::size_t i = 0; i < n; i += 512) sum += p[i];
         benchmark::DoNotOptimize(sum);

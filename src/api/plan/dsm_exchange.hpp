@@ -5,12 +5,12 @@
 // executor gather/scatter templates only need an ExchangeNode, and here
 // the messages travel as core kAppData payloads on the same transport,
 // counted by the same NetStats as every protocol message.  The exchange
-// discipline mirrors chaos::ChaosNode exactly — split-phase sends, drain
-// in arrival order, per-peer stash for a fast peer's next-phase traffic —
-// so schedule-driven traffic has the same message count on either fabric.
+// discipline itself (split-phase sends, arrival-order drain, per-peer
+// stash) is ExchangeNode's, shared with chaos::ChaosNode, so
+// schedule-driven traffic has the same message count on either fabric.
 #pragma once
 
-#include <deque>
+#include <utility>
 #include <vector>
 
 #include "src/chaos/exchange.hpp"
@@ -20,34 +20,20 @@ namespace sdsm::api::plan {
 
 class DsmExchange final : public chaos::ExchangeNode {
  public:
-  explicit DsmExchange(core::DsmNode& node)
-      : node_(node), stash_(node.num_nodes()) {}
+  explicit DsmExchange(core::DsmNode& node) : node_(node) {}
 
   NodeId id() const override { return node_.id(); }
   std::uint32_t num_nodes() const override { return node_.num_nodes(); }
 
-  std::vector<std::vector<std::uint8_t>> all_to_all(
-      std::vector<std::vector<std::uint8_t>> to_peers) override {
-    std::vector<bool> recv_from(num_nodes(), true);
-    recv_from[id()] = false;
-    return exchange(std::move(to_peers), recv_from, /*send_empty=*/true);
-  }
-
-  std::vector<std::vector<std::uint8_t>> sparse_exchange(
-      std::vector<std::vector<std::uint8_t>> to_peers,
-      const std::vector<bool>& recv_from) override {
-    return exchange(std::move(to_peers), recv_from, /*send_empty=*/false);
-  }
-
  private:
-  std::vector<std::vector<std::uint8_t>> exchange(
-      std::vector<std::vector<std::uint8_t>> to_peers,
-      const std::vector<bool>& recv_from, bool send_empty);
+  void send_payload(NodeId peer, std::vector<std::uint8_t> payload) override {
+    node_.send_app_data(peer, std::move(payload));
+  }
+  std::pair<NodeId, std::vector<std::uint8_t>> recv_payload() override {
+    return node_.recv_app_data();
+  }
 
   core::DsmNode& node_;
-  // Payloads that arrived ahead of their exchange (a fast peer already in
-  // its next phase).  Served before the inbox, preserving per-peer FIFO.
-  std::vector<std::deque<std::vector<std::uint8_t>>> stash_;
 };
 
 }  // namespace sdsm::api::plan

@@ -1,341 +1,25 @@
 // The message-substrate driver: both regions under
 // AccessStrategy::kInspectorGather (the CHAOS assignment).
 //
-// This is the former ChaosBackend monolith with its hand-rolled step loop
-// replaced by the shared StepDriver (plan/step_driver.hpp) and its result
-// fold replaced by the shared fold helpers (plan/fold.hpp).  The strategy
-// realizes every phase with inspector/executor machinery: structure
-// rebuilds run the inspector over an allgathered state view, the compute
-// step gathers ghosts / scatters contributions per schedule, and the
-// convergence verdict is an allgather of one byte per node.
+// run_msg is a thin runner over the shared InspectorGather strategy
+// (plan/inspector_gather.hpp) with neither hook set: rebuild state reads
+// are allgathers over the CHAOS fabric and the owner update stays private.
+// It owns only the section timing and the result.  Defined in
+// msg_driver.cpp for the element types ChaosBackend exposes (double,
+// double3).
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <memory>
-#include <span>
-#include <vector>
+#include <cstdint>
 
-#include "src/api/bucketed.hpp"
 #include "src/api/kernel.hpp"
-#include "src/api/plan/fold.hpp"
-#include "src/api/plan/plan.hpp"
-#include "src/api/plan/step_driver.hpp"
 #include "src/api/reuse.hpp"
 #include "src/chaos/chaos_runtime.hpp"
-#include "src/chaos/executor.hpp"
-#include "src/chaos/inspector.hpp"
-#include "src/chaos/translation_table.hpp"
-#include "src/common/buffer.hpp"
-#include "src/common/timer.hpp"
 
 namespace sdsm::api::plan {
-
-namespace detail {
-
-class ChaosIrregularNode final : public IrregularNode {
- public:
-  explicit ChaosIrregularNode(chaos::ChaosNode& n) : n_(n) {}
-  NodeId id() const override { return n_.id(); }
-  std::uint32_t num_nodes() const override { return n_.num_nodes(); }
-  void barrier() override { n_.barrier(); }
-
- private:
-  chaos::ChaosNode& n_;
-};
-
-}  // namespace detail
-
-/// Builds (or reuses, via the session) the translation table for a
-/// contiguous owner partition — shared by the message driver and the
-/// hybrid's inspector side.
-template <typename T>
-std::shared_ptr<const chaos::TranslationTable> table_for(
-    const KernelSpec<T>& spec, std::uint32_t nprocs, chaos::TableKind kind,
-    RunSession* session) {
-  // Owner map and translation table (remapping: owner-contiguous offsets,
-  // which for a contiguous partition makes local offset = global - begin).
-  // On the serving path the table is itself a cached artifact: built once
-  // per (graph, kernel) on the host thread (before node fan-out, so
-  // publishing it back needs no synchronization) and reused on repeats.
-  if (session != nullptr && session->table) return session->table;
-  std::vector<NodeId> owner(static_cast<std::size_t>(spec.num_elements));
-  for (std::int64_t g = 0; g < spec.num_elements; ++g) {
-    owner[static_cast<std::size_t>(g)] = owner_of(spec.owner_range, g);
-  }
-  auto table = std::make_shared<const chaos::TranslationTable>(
-      chaos::TranslationTable::build(owner, nprocs, kind));
-  if (session != nullptr) session->table = table;
-  return table;
-}
 
 template <typename T>
 KernelResult run_msg(chaos::ChaosRuntime& rt, const KernelSpec<T>& spec,
                      RunSession* session, const BackendOptions& options,
-                     std::uint32_t num_nodes) {
-  spec.require_valid(num_nodes);
-  const std::uint32_t nprocs = num_nodes;
-  SDSM_REQUIRE(rt.num_nodes() == nprocs);
-
-  std::shared_ptr<const chaos::TranslationTable> table_ptr =
-      table_for(spec, nprocs, options.table, session);
-  const chaos::TranslationTable& table = *table_ptr;
-
-  std::vector<double> inspector_seconds(nprocs, 0.0);
-  std::vector<std::int64_t> rebuilds(nprocs, 0);  ///< fresh inspector runs
-  std::vector<std::int64_t> ordinals(nprocs, 0);  ///< all rebuild events
-  std::vector<std::int64_t> steps_run(nprocs, 0);
-  std::vector<std::size_t> refs_built(nprocs, 0);
-  std::vector<std::size_t> max_row(nprocs, 0);
-  std::vector<double> timed_seconds(nprocs, 0.0);
-  std::vector<double> partial(nprocs, 0.0);
-  std::atomic<std::uint64_t> msgs_start{0}, msgs_end{0};
-  std::atomic<std::uint64_t> bytes_start{0}, bytes_end{0};
-  std::atomic<std::uint64_t> barr_start{0}, barr_end{0};
-
-  // No stats reset: all accounting below is snapshot-delta scoped, so a
-  // warm shared runtime's cumulative totals survive each job.
-  rt.run([&](chaos::ChaosNode& cn) {
-    const NodeId me = cn.id();
-    const part::Range mine = spec.owner_range[me];
-    const auto local_n = static_cast<std::size_t>(mine.size());
-    detail::ChaosIrregularNode node(cn);
-
-    std::vector<T> x_all(local_n);  // owned block, ghost region appended
-    std::copy(spec.initial_state.begin() + mine.begin,
-              spec.initial_state.begin() + mine.end, x_all.begin());
-    std::vector<T> f_all;
-
-    std::shared_ptr<const chaos::Schedule> sched;
-    std::vector<std::int32_t> localized;
-    std::vector<std::int64_t> row_offsets;
-    RowBuckets buckets;  // degree buckets (ExecEngine::kBucketed only)
-    std::vector<double> payload;
-    std::vector<T> all_state;
-    bool timed_section = false;
-    bool done = false;
-
-    auto fresh_rebuild = [&](std::int64_t ordinal) {
-      std::span<const T> view{};
-      if (spec.rebuild_reads_state) {
-        // Allgather the owned blocks into a full copy: CHAOS has no shared
-        // memory, and the structure builder needs the global view (this is
-        // the rebuild communication the DSM performs via paging/Validate).
-        all_state.resize(static_cast<std::size_t>(spec.num_elements));
-        std::vector<std::vector<std::uint8_t>> out(nprocs);
-        {
-          Writer w;
-          w.put_span<T>(std::span<const T>(x_all.data(), local_n));
-          for (NodeId q = 0; q < nprocs; ++q) {
-            if (q != me) out[q] = w.bytes();
-          }
-        }
-        auto in = cn.all_to_all(std::move(out));
-        for (NodeId q = 0; q < nprocs; ++q) {
-          const part::Range range = spec.owner_range[q];
-          if (q == me) {
-            std::copy(x_all.begin(), x_all.begin() + local_n,
-                      all_state.begin() + range.begin);
-          } else {
-            Reader r(in[q]);
-            const auto block = r.template get_vector<T>();
-            std::copy(block.begin(), block.end(),
-                      all_state.begin() + range.begin);
-          }
-        }
-        view = all_state;
-      }
-
-      WorkItems items = spec.build_items(node, view);
-      // Same CSR + capacity contract the Tmk backends enforce: a spec must
-      // not pass on one backend and abort on another.
-      const ItemsShape shape = spec.require_valid_items(items);
-      refs_built[me] = shape.num_refs;
-      max_row[me] = shape.max_row;
-
-      // Inspector: schedule + localization from the flattened row
-      // references — rows of any length land in the same duplicate
-      // elimination, translation lookups, and ghost-slot assignment, so
-      // variable-arity rows localize exactly like fixed-arity ones.
-      chaos::InspectorStats istats;
-      sched = std::make_shared<const chaos::Schedule>(
-          chaos::build_schedule(cn, items.refs, table, &istats));
-      inspector_seconds[me] += istats.seconds;
-      ++rebuilds[me];
-      localized = chaos::localize_references(me, items.refs, table, *sched);
-      if (session != nullptr) {
-        session->fresh_builds.fetch_add(1, std::memory_order_relaxed);
-        if (session->store) {
-          CachedRebuild record;
-          record.items = items;  // copy: payload/offsets are moved below
-          record.shape = shape;
-          record.chaos_schedule = sched;
-          record.chaos_localized = localized;
-          session->store(me, ordinal, std::move(record));
-        }
-      }
-      payload = std::move(items.payload);
-      row_offsets = std::move(items.row_offsets);
-    };
-
-    auto rebuild_fn = [&](int /*global_step*/) {
-      // This node's rebuild ordinal: the schedule-cache index for both the
-      // replay and record paths.  The cache is committed whole (every
-      // node's trace for an ordinal, or none), so hit/miss decisions are
-      // uniform across nodes and the collective allgather inside
-      // fresh_rebuild can never be entered by only some of them.
-      const std::int64_t ordinal = ordinals[me]++;
-      const CachedRebuild* cached =
-          (session != nullptr && session->lookup)
-              ? session->lookup(me, ordinal)
-              : nullptr;
-      // Structure-traffic attribution: this node's sends during its
-      // rebuild section (allgather share + inspector exchange).  Only the
-      // node's own compute thread bumps its send counters, so the delta
-      // is race-free; only timed rebuilds accumulate, matching the
-      // message-count window of the result.
-      const net::Traffic sent0 = rt.network().stats().node_traffic(me);
-
-      if (cached != nullptr) {
-        refs_built[me] = cached->shape.num_refs;
-        max_row[me] = cached->shape.max_row;
-        payload = cached->items.payload;
-        row_offsets = cached->items.row_offsets;
-        sched = cached->chaos_schedule;
-        localized = cached->chaos_localized;
-        session->cached_builds.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        fresh_rebuild(ordinal);
-      }
-      if (options.exec_engine == ExecEngine::kBucketed) {
-        // Built from row_offsets alone — byte-identical input on every
-        // backend — so the bucketed iteration order matches Tmk's exactly.
-        buckets = RowBuckets::build(row_offsets);
-      }
-      x_all.resize(local_n + static_cast<std::size_t>(sched->num_ghosts));
-      f_all.assign(local_n + static_cast<std::size_t>(sched->num_ghosts),
-                   spec.f_identity);
-      if (session != nullptr && timed_section) {
-        const net::Traffic sent =
-            rt.network().stats().node_traffic(me) - sent0;
-        session->structure_messages.fetch_add(sent.messages,
-                                              std::memory_order_relaxed);
-        session->structure_bytes.fetch_add(sent.bytes,
-                                           std::memory_order_relaxed);
-      }
-    };
-
-    auto execute_fn = [&](int /*global_step*/) {
-      const auto ghosts = static_cast<std::size_t>(sched->num_ghosts);
-
-      // Executor: gather remote state, compute, scatter contributions.
-      // Accumulators (owned and ghost) seed with the reduction identity so
-      // untouched elements — all of them, on an empty frontier —
-      // contribute nothing under either operator.
-      chaos::gather<T>(cn, *sched, std::span<const T>(x_all.data(), local_n),
-                       std::span<T>(x_all.data() + local_n, ghosts));
-      std::fill(f_all.begin(), f_all.end(), spec.f_identity);
-      KernelCtx<T> ctx;
-      ctx.row_offsets = row_offsets;
-      ctx.refs = localized;
-      ctx.payload = payload;
-      ctx.x = x_all;
-      ctx.f = f_all;
-      if (options.exec_engine == ExecEngine::kBucketed) {
-        ctx.buckets = &buckets;
-      }
-      spec.compute(node, ctx);
-      chaos::scatter<T>(cn, *sched, std::span<T>(f_all.data(), local_n),
-                        std::span<const T>(f_all.data() + local_n, ghosts),
-                        [&spec](T a, T b) { return spec.combine(a, b); });
-
-      if (spec.update) {
-        spec.update(std::span<T>(x_all.data(), local_n),
-                    std::span<const T>(f_all.data(), local_n));
-      }
-    };
-
-    auto finish_fn = [&](int /*global_step*/, bool /*last*/) -> bool {
-      // Convergence: CHAOS has no shared memory, so the published flag is
-      // an allgather of one verdict byte per node — every pair exchanges
-      // (even when the local frontier was empty), so all nodes reach the
-      // identical decision with no side channel.
-      bool all_done = false;
-      if (spec.converged) {
-        const bool mine_done = spec.converged(
-            node, std::span<const T>(x_all.data(), local_n));
-        std::vector<std::vector<std::uint8_t>> out(nprocs);
-        for (NodeId q = 0; q < nprocs; ++q) {
-          if (q != me) out[q] = {static_cast<std::uint8_t>(mine_done ? 1 : 0)};
-        }
-        auto in = cn.all_to_all(std::move(out));
-        all_done = mine_done;
-        for (NodeId q = 0; q < nprocs; ++q) {
-          if (q != me) all_done = all_done && !in[q].empty() && in[q][0] != 0;
-        }
-      }
-      cn.barrier();
-      return all_done;
-    };
-
-    auto strat = make_strategy(rebuild_fn, execute_fn, finish_fn);
-
-    std::int64_t warm_steps = 0;  // warmup steps are not reported
-    drive_steps(spec, strat, spec.warmup_steps, 0, warm_steps, done);
-    // Quiescent snapshots: taken by node 0 while every other node is
-    // blocked inside the barrier, so the counts are deterministic.
-    cn.barrier([&] {
-      msgs_start = rt.total_messages();
-      bytes_start = static_cast<std::uint64_t>(rt.total_megabytes() * 1e6);
-      barr_start = rt.total_barriers();
-    });
-
-    timed_section = true;
-    const Timer timer;
-    drive_steps(spec, strat, spec.num_steps, spec.warmup_steps, steps_run[me],
-                done);
-    timed_seconds[me] = timer.elapsed_s();
-    cn.barrier([&] {
-      msgs_end = rt.total_messages();
-      bytes_end = static_cast<std::uint64_t>(rt.total_megabytes() * 1e6);
-      barr_end = rt.total_barriers();
-    });
-
-    partial[me] = spec.checksum(std::span<const T>(x_all.data(), local_n));
-  });
-
-  KernelResult res;
-  res.backend = Backend::kChaos;
-  for (const double t : timed_seconds) res.seconds = std::max(res.seconds, t);
-  // Between the two snapshots lie the timed steps plus exactly one barrier
-  // release (N-1 messages) and one barrier arrival (N-1).
-  res.messages =
-      msgs_end.load() - msgs_start.load() - 2 * (nprocs - 1);
-  res.megabytes =
-      static_cast<double>(bytes_end.load() - bytes_start.load()) / 1e6;
-  res.bytes = bytes_end.load() - bytes_start.load();
-  // Barrier arrivals between the snapshots: the timed steps' barriers plus
-  // the end snapshot's own (fully counted at its quiescent point, like the
-  // start's is in barr_start).  Measured, not asserted: CHAOS synchronizes
-  // through its gather/scatter exchanges, so this is normally the one
-  // step-closing barrier — and the bench column will say so the day that
-  // stops being true.
-  res.steps_run = steps_run[0];
-  if (res.steps_run > 0) {
-    res.barriers_per_step =
-        static_cast<double>(barr_end.load() - barr_start.load() - nprocs) /
-        nprocs / static_cast<double>(res.steps_run);
-  }
-  std::vector<NodeAccount> accounts(nprocs);
-  for (NodeId q = 0; q < nprocs; ++q) {
-    accounts[q] = {partial[q], refs_built[q], max_row[q]};
-  }
-  fold_accounts(res, accounts);
-  double insp = 0;
-  for (const double s : inspector_seconds) insp += s;
-  res.overhead_seconds = insp / nprocs;
-  res.rebuilds = rebuilds[0];
-  return res;
-}
+                     std::uint32_t num_nodes);
 
 }  // namespace sdsm::api::plan

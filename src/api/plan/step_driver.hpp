@@ -1,10 +1,10 @@
 // StepDriver: the one copy of the outer step loop.
 //
-// Every backend used to carry its own rebuild-cadence / step-execution /
-// convergence loop; the three copies have been folded into drive_steps(),
-// parameterized by a Strategy that knows how one region assignment
-// (plan::ExecutionPlan) realizes each phase.  The Strategy duck-type
-// contract:
+// drive_steps() is the rebuild-cadence / step-execution / convergence loop
+// of every backend, parameterized by a per-node Strategy object that knows
+// how one region assignment (plan::ExecutionPlan) realizes each phase.  A
+// Strategy is a NodeTally (the per-node bookkeeping below) with three
+// phase methods:
 //
 //   void rebuild(int global_step);
 //       Structure (re)build for this step.  Called only when
@@ -19,43 +19,39 @@
 //
 // The loop runs a *section* (warmup or timed) of at most `steps` steps;
 // `done` persists across sections so a kernel converged during warmup
-// never executes a timed step, matching the historical backends.
+// never executes a timed step.
 #pragma once
 
 #include <cstdint>
 
+#include "src/api/plan/fold.hpp"
+
 namespace sdsm::api::plan {
 
-/// A Strategy composed from three callables — how the drivers assemble a
-/// concrete strategy for one plan::ExecutionPlan without naming a class
-/// per assignment.
-template <typename R, typename E, typename F>
-struct ComposedStrategy {
-  R rebuild_fn;
-  E execute_fn;
-  F finish_fn;
-  void rebuild(int global_step) { rebuild_fn(global_step); }
-  void execute_step(int global_step) { execute_fn(global_step); }
-  bool finish_step(int global_step, bool last_in_section) {
-    return finish_fn(global_step, last_in_section);
-  }
+/// The per-node bookkeeping every strategy keeps: drive_steps advances
+/// `steps_run` and `done`; the runners set `timed` at the warm/timed cut
+/// and read the rest after the timed section.
+struct NodeTally {
+  std::int64_t steps_run = 0;  ///< steps executed (warmup + timed)
+  bool done = false;           ///< globally converged: no further steps
+  bool timed = false;          ///< inside the timed section
+  /// Structure builds: every rebuild under the page protocol, fresh
+  /// inspector runs (cache replays excluded) under the inspector.
+  std::int64_t rebuilds = 0;
+  double inspector_seconds = 0;  ///< inspector time (inspector-gather only)
+  NodeAccount account;           ///< checksum + last-built structure shape
 };
-
-template <typename R, typename E, typename F>
-ComposedStrategy<R, E, F> make_strategy(R rebuild, E execute, F finish) {
-  return {std::move(rebuild), std::move(execute), std::move(finish)};
-}
 
 template <typename Spec, typename Strategy>
 void drive_steps(const Spec& spec, Strategy& strat, int steps,
-                 int first_global_step, std::int64_t& steps_run, bool& done) {
-  for (int s = 0; s < steps; ++s) {
-    if (done) break;
+                 int first_global_step) {
+  for (int s = 0; s < steps && !strat.done; ++s) {
     const int global_step = first_global_step + s;
     if (spec.rebuild_needed(global_step)) strat.rebuild(global_step);
     strat.execute_step(global_step);
-    done = strat.finish_step(global_step, /*last_in_section=*/s + 1 >= steps);
-    ++steps_run;
+    strat.done =
+        strat.finish_step(global_step, /*last_in_section=*/s + 1 >= steps);
+    ++strat.steps_run;
   }
 }
 

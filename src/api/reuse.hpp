@@ -70,4 +70,27 @@ struct RunSession {
   std::atomic<std::uint64_t> structure_bytes{0};
 };
 
+/// The session's artifact for `node`'s `ordinal`-th rebuild, or nullptr
+/// (no session, no lookup, or a miss) to build fresh.  A hit counts as a
+/// cached build.
+inline const CachedRebuild* replay_rebuild(RunSession* session, NodeId node,
+                                           std::int64_t ordinal) {
+  if (session == nullptr || !session->lookup) return nullptr;
+  const CachedRebuild* hit = session->lookup(node, ordinal);
+  if (hit != nullptr) {
+    session->cached_builds.fetch_add(1, std::memory_order_relaxed);
+  }
+  return hit;
+}
+
+/// Counts a fresh build and offers it to the session's store; `make()`
+/// builds the artifact only when a store will take it.
+template <typename Make>
+void record_rebuild(RunSession* session, NodeId node, std::int64_t ordinal,
+                    Make&& make) {
+  if (session == nullptr) return;
+  session->fresh_builds.fetch_add(1, std::memory_order_relaxed);
+  if (session->store) session->store(node, ordinal, make());
+}
+
 }  // namespace sdsm::api

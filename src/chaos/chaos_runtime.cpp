@@ -11,75 +11,21 @@ constexpr std::uint32_t kBarrierGo = 3;
 
 }  // namespace
 
-ChaosNode::ChaosNode(ChaosRuntime& rt, NodeId id)
-    : rt_(rt), id_(id), stash_(rt.num_nodes()) {}
-
 std::uint32_t ChaosNode::num_nodes() const { return rt_.num_nodes(); }
 
-std::vector<std::vector<std::uint8_t>> ChaosNode::all_to_all(
-    std::vector<std::vector<std::uint8_t>> to_peers) {
-  std::vector<bool> recv_from(num_nodes(), true);
-  recv_from[id_] = false;
-  return exchange(std::move(to_peers), recv_from, /*send_empty=*/true);
+void ChaosNode::send_payload(NodeId peer, std::vector<std::uint8_t> payload) {
+  net::Message m;
+  m.type = kData;
+  m.src = id_;
+  m.dst = peer;
+  m.payload = std::move(payload);
+  rt_.net_->send(net::Port::kService, std::move(m));
 }
 
-std::vector<std::vector<std::uint8_t>> ChaosNode::sparse_exchange(
-    std::vector<std::vector<std::uint8_t>> to_peers,
-    const std::vector<bool>& recv_from) {
-  return exchange(std::move(to_peers), recv_from, /*send_empty=*/false);
-}
-
-std::vector<std::vector<std::uint8_t>> ChaosNode::exchange(
-    std::vector<std::vector<std::uint8_t>> to_peers,
-    const std::vector<bool>& recv_from, bool send_empty) {
-  SDSM_REQUIRE(to_peers.size() == num_nodes());
-  SDSM_REQUIRE(recv_from.size() == num_nodes());
-  // Split phase: every per-owner payload goes on the wire before any
-  // reply is drained, so all peers' service work overlaps.
-  for (NodeId p = 0; p < num_nodes(); ++p) {
-    if (p == id_) continue;
-    // Whether to send is decided by *my* payload (the peer's receive mask
-    // mirrors it by schedule symmetry); all_to_all sends even empty
-    // payloads because receivers cannot know who has nothing for them.
-    if (to_peers[p].empty() && !send_empty) continue;
-    net::Message m;
-    m.type = kData;
-    m.src = id_;
-    m.dst = p;
-    m.payload = std::move(to_peers[p]);
-    rt_.net_->send(net::Port::kService, std::move(m));
-  }
-
-  // Drain in arrival order, so a slow peer never delays consuming the
-  // fast peers' payloads.  Per-peer FIFO still holds: at most one payload
-  // per peer belongs to this exchange; anything beyond that (a fast
-  // peer's next-phase traffic) is stashed for the next call, and the
-  // stash is always served before the wire.
-  std::vector<std::vector<std::uint8_t>> from_peers(num_nodes());
-  std::vector<bool> expected(num_nodes(), false);
-  std::uint32_t need = 0;
-  for (NodeId p = 0; p < num_nodes(); ++p) {
-    if (p == id_ || !recv_from[p]) continue;
-    if (!stash_[p].empty()) {
-      from_peers[p] = std::move(stash_[p].front());
-      stash_[p].pop_front();
-    } else {
-      expected[p] = true;
-      ++need;
-    }
-  }
-  while (need > 0) {
-    net::Message m = rt_.net_->recv(net::Port::kService, id_);
-    SDSM_ASSERT(m.type == kData);
-    if (expected[m.src]) {
-      from_peers[m.src] = std::move(m.payload);
-      expected[m.src] = false;
-      --need;
-    } else {
-      stash_[m.src].push_back(std::move(m.payload));
-    }
-  }
-  return from_peers;
+std::pair<NodeId, std::vector<std::uint8_t>> ChaosNode::recv_payload() {
+  net::Message m = rt_.net_->recv(net::Port::kService, id_);
+  SDSM_ASSERT(m.type == kData);
+  return {m.src, std::move(m.payload)};
 }
 
 void ChaosNode::barrier(const std::function<void()>& at_master) {

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <thread>
@@ -27,28 +26,14 @@ namespace sdsm::chaos {
 class ChaosRuntime;
 
 /// Handle given to each node's compute function.  Implements ExchangeNode,
-/// the fabric-agnostic surface the inspector/executor are written against.
+/// the fabric-agnostic surface the inspector/executor are written against,
+/// over the service port of the runtime's transport.
 class ChaosNode : public ExchangeNode {
  public:
-  ChaosNode(ChaosRuntime& rt, NodeId id);
+  ChaosNode(ChaosRuntime& rt, NodeId id) : rt_(rt), id_(id) {}
 
   NodeId id() const override { return id_; }
   std::uint32_t num_nodes() const override;
-
-  /// All-to-all personalized exchange: sends to_peers[p] to node p (own slot
-  /// ignored) and returns the payload received from every peer (own slot
-  /// empty).  Every pair exchanges a message even when empty — the
-  /// request-discovery phase of the inspector cannot know in advance who
-  /// needs nothing.
-  std::vector<std::vector<std::uint8_t>> all_to_all(
-      std::vector<std::vector<std::uint8_t>> to_peers) override;
-
-  /// Sparse exchange used by the executor: sends only the non-empty
-  /// payloads; `recv_from[p]` says whether a message from p is expected
-  /// (both sides know this from the communication schedule).
-  std::vector<std::vector<std::uint8_t>> sparse_exchange(
-      std::vector<std::vector<std::uint8_t>> to_peers,
-      const std::vector<bool>& recv_from) override;
 
   /// Barrier over all chaos nodes (central counter at node 0).  When
   /// at_master is non-null, node 0 runs it after every arrival and before
@@ -57,13 +42,11 @@ class ChaosNode : public ExchangeNode {
   void barrier(const std::function<void()>& at_master = {});
 
  private:
-  std::vector<std::vector<std::uint8_t>> exchange(
-      std::vector<std::vector<std::uint8_t>> to_peers,
-      const std::vector<bool>& recv_from, bool send_empty);
+  void send_payload(NodeId peer, std::vector<std::uint8_t> payload) override;
+  std::pair<NodeId, std::vector<std::uint8_t>> recv_payload() override;
 
   ChaosRuntime& rt_;
   const NodeId id_;
-  std::vector<std::deque<std::vector<std::uint8_t>>> stash_;
 };
 
 class ChaosRuntime {

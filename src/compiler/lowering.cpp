@@ -1,5 +1,7 @@
 #include "src/compiler/lowering.hpp"
 
+#include "src/core/descriptor.hpp"
+
 namespace sdsm::compiler {
 
 core::Access parse_access(const std::string& s) {
@@ -37,18 +39,24 @@ std::vector<core::AccessDescriptor> lower_validate(const Stmt& validate,
     const ArrayBinding& data = data_it->second;
     const rsd::RegularSection section = lower_section(d.section, scalars);
     const core::Access access = parse_access(d.access);
+    const auto schedule = static_cast<std::uint32_t>(d.schedule);
     if (d.indirect) {
       const auto ind_it = arrays.find(d.section_array);
       SDSM_REQUIRE(ind_it != arrays.end());
       const ArrayBinding& ind = ind_it->second;
       SDSM_REQUIRE(ind.elem_size == sizeof(std::int32_t));
-      out.push_back(core::indirect_desc(data.base, data.elem_size, ind.base,
-                                        ind.layout, section, access,
-                                        static_cast<std::uint32_t>(d.schedule)));
+      // The data layout is unused through an indirection array.
+      out.push_back(core::DescriptorBuilder::array(data.base, data.elem_size,
+                                                   rsd::ArrayLayout{})
+                        .via(ind.base, ind.layout, section)
+                        .schedule(schedule)
+                        .finish(access));
     } else {
-      out.push_back(core::direct_desc(data.base, data.elem_size, data.layout,
-                                      section, access,
-                                      static_cast<std::uint32_t>(d.schedule)));
+      out.push_back(core::DescriptorBuilder::array(data.base, data.elem_size,
+                                                   data.layout)
+                        .section(section)
+                        .schedule(schedule)
+                        .finish(access));
     }
   }
   return out;

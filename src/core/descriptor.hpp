@@ -1,10 +1,10 @@
 // Fluent typed builder for Validate access descriptors.
 //
 // The paper's Figure 3 passes descriptor structs to Validate; assembling
-// them field by field (or through the original direct_desc/indirect_desc
-// free functions, which survive as thin shims over this builder) is easy to
-// get silently wrong — a forgotten layout, an indirection array that is not
-// int32, a WRITE_ALL on an indirect section.  The builder names each
+// them field by field is easy to get silently wrong — a forgotten layout,
+// an indirection array that is not int32, a WRITE_ALL on an indirect
+// section.  This builder is the one way descriptors are made (the compiler
+// lowering path included).  It names each
 // ingredient, checks the combination at finalization, and reads like the
 // descriptor it produces:
 //

@@ -148,19 +148,6 @@ struct AccessDescriptor {
   rsd::ArrayLayout ind_layout;
 };
 
-/// Thin shims over core::DescriptorBuilder (src/core/descriptor.hpp), the
-/// fluent typed builder that is now the primary way to assemble
-/// descriptors.  Kept for the compiler lowering path and existing call
-/// sites; prefer the builder in new code.
-AccessDescriptor direct_desc(GlobalAddr base, std::size_t elem_size,
-                             rsd::ArrayLayout data_layout,
-                             rsd::RegularSection section, Access access,
-                             std::uint32_t schedule);
-AccessDescriptor indirect_desc(GlobalAddr data_base, std::size_t data_elem_size,
-                               GlobalAddr ind_base, rsd::ArrayLayout ind_layout,
-                               rsd::RegularSection ind_section, Access access,
-                               std::uint32_t schedule);
-
 // ---------------------------------------------------------------------------
 // Per-page protocol state.
 // ---------------------------------------------------------------------------
@@ -335,7 +322,7 @@ class DsmNode {
 
   /// Blocks until an application payload arrives and returns (src, bytes)
   /// in arrival order.  Pairing and per-peer ordering discipline is the
-  /// caller's (plan::DsmExchange mirrors ChaosNode's stash).
+  /// caller's (plan::DsmExchange hands it to chaos::ExchangeNode's stash).
   std::pair<NodeId, std::vector<std::uint8_t>> recv_app_data();
 
   // --- Introspection -------------------------------------------------------

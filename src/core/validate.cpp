@@ -26,27 +26,6 @@
 
 namespace sdsm::core {
 
-AccessDescriptor direct_desc(GlobalAddr base, std::size_t elem_size,
-                             rsd::ArrayLayout data_layout,
-                             rsd::RegularSection section, Access access,
-                             std::uint32_t schedule) {
-  return DescriptorBuilder::array(base, elem_size, std::move(data_layout))
-      .section(std::move(section))
-      .schedule(schedule)
-      .finish(access);
-}
-
-AccessDescriptor indirect_desc(GlobalAddr data_base, std::size_t data_elem_size,
-                               GlobalAddr ind_base, rsd::ArrayLayout ind_layout,
-                               rsd::RegularSection ind_section, Access access,
-                               std::uint32_t schedule) {
-  return DescriptorBuilder::array(data_base, data_elem_size,
-                                  rsd::ArrayLayout{})
-      .via(ind_base, std::move(ind_layout), std::move(ind_section))
-      .schedule(schedule)
-      .finish(access);
-}
-
 namespace {
 
 /// Byte extent of a DIRECT descriptor's section when it is dense

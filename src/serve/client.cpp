@@ -9,7 +9,7 @@
 
 #include "src/common/assert.hpp"
 #include "src/common/buffer.hpp"
-#include "src/serve/framing.hpp"
+#include "src/net/sockio.hpp"
 #include "src/serve/server.hpp"
 
 namespace sdsm::serve {
@@ -30,6 +30,7 @@ Client Client::connect_local(int port) {
   SDSM_REQUIRE_MSG(
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
       "serve::Client: connect() failed");
+  net::set_nodelay(fd);
   Client c;
   c.fd_ = fd;
   return c;

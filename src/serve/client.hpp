@@ -1,7 +1,7 @@
 // serve::Client — one handle, two transports: in-process (direct calls on
 // a KernelServer living in the same address space) or a socket connection
 // to a server's 127.0.0.1 control port speaking the framed protocol of
-// src/serve/framing.hpp.  Call sites are identical either way, so tests
+// src/serve/job.hpp.  Call sites are identical either way, so tests
 // and the CLI exercise both paths through one code shape.
 #pragma once
 

@@ -1,5 +1,10 @@
 #include "src/serve/job.hpp"
 
+#include <algorithm>
+#include <cstring>
+
+#include "src/net/sockio.hpp"
+
 namespace sdsm::serve {
 
 void encode(Writer& w, const GraphSpec& g) {
@@ -137,6 +142,23 @@ SubmitResult decode_submit_result(Reader& r) {
   s.job_id = r.get<std::uint64_t>();
   s.reason = r.get_string();
   return s;
+}
+
+bool write_frame(int fd, const std::vector<std::uint8_t>& payload) {
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  std::vector<std::uint8_t> frame(sizeof(len) + payload.size());
+  std::memcpy(frame.data(), &len, sizeof(len));
+  std::copy(payload.begin(), payload.end(), frame.begin() + sizeof(len));
+  return net::write_full(fd, frame.data(), frame.size());
+}
+
+bool read_frame(int fd, std::vector<std::uint8_t>& payload) {
+  std::uint32_t len = 0;
+  if (!net::read_full(fd, &len, sizeof(len)) || len > kMaxFramePayload) {
+    return false;
+  }
+  payload.resize(len);
+  return len == 0 || net::read_full(fd, payload.data(), len);
 }
 
 }  // namespace sdsm::serve

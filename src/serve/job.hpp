@@ -1,7 +1,7 @@
 // Job-level types of the serving layer (sdsm::serve): what a client
 // submits (JobRequest), what it gets back (JobStats), and the server-wide
-// counters (ServerStats), plus their wire codecs for the socket control
-// protocol.
+// counters (ServerStats), plus their wire codecs and the framing of the
+// socket control protocol.
 //
 // A JobRequest names a kernel by string and describes the graph by a
 // GraphSpec of sentinel-defaulted parameters (0 / -1 = use the workload's
@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/api/backend.hpp"
 #include "src/common/buffer.hpp"
@@ -131,5 +132,33 @@ ServerStats decode_server_stats(Reader& r);
 
 void encode(Writer& w, const SubmitResult& s);
 SubmitResult decode_submit_result(Reader& r);
+
+// --- Socket control protocol framing --------------------------------------
+//
+// Each frame is a u32 payload length followed by the payload, sent as one
+// contiguous buffer; each payload begins with a u32 ControlOp and
+// continues with the op's codec above.  One request frame yields exactly
+// one response frame on the same connection (kWait blocks server-side
+// until the job completes, so a client wanting concurrent waits uses one
+// connection per outstanding wait — or submits everything first, then
+// waits in turn).
+
+enum ControlOp : std::uint32_t {
+  kSubmit = 1,  ///< JobRequest -> SubmitResult
+  kWait = 2,    ///< u64 job id -> JobStats (blocks until done)
+  kStats = 3,   ///< (empty) -> ServerStats
+};
+
+/// Largest payload either side accepts (a JobStats is a few hundred
+/// bytes).  A longer length header is never allocated: the reader drops
+/// the connection instead.
+constexpr std::uint32_t kMaxFramePayload = 1u << 20;
+
+/// Writes one frame with a single net::write_full; false on error.
+bool write_frame(int fd, const std::vector<std::uint8_t>& payload);
+
+/// Reads one frame into `payload`; false on EOF, error, or a length above
+/// kMaxFramePayload.
+bool read_frame(int fd, std::vector<std::uint8_t>& payload);
 
 }  // namespace sdsm::serve

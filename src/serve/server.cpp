@@ -14,7 +14,7 @@
 #include "src/api/tmk_backend.hpp"
 #include "src/common/assert.hpp"
 #include "src/common/timer.hpp"
-#include "src/serve/framing.hpp"
+#include "src/net/sockio.hpp"
 #include "src/serve/workloads.hpp"
 
 namespace sdsm::serve {
@@ -398,6 +398,7 @@ void KernelServer::accept_loop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;  // listener shut down
+    net::set_nodelay(fd);
     std::lock_guard<std::mutex> g(conns_mu_);
     const std::size_t slot = conn_fds_.size();
     conn_fds_.push_back(fd);
@@ -409,7 +410,7 @@ void KernelServer::accept_loop() {
 void KernelServer::connection_loop(std::size_t slot, int fd) {
   std::vector<std::uint8_t> payload;
   for (;;) {
-    if (!read_frame(fd, payload)) break;
+    if (!read_frame(fd, payload)) break;  // EOF, error, or oversized
     Reader r(payload);
     const auto op = r.get<std::uint32_t>();
     Writer w;

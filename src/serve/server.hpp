@@ -17,7 +17,7 @@
 // when they target different engine keys — within one
 // engine the node threads already use every core.  An optional 127.0.0.1
 // control socket (ephemeral port) serves the framed protocol of
-// src/serve/framing.hpp with one thread per connection.
+// src/serve/job.hpp with one thread per connection.
 #pragma once
 
 #include <condition_variable>

@@ -4,6 +4,7 @@
 // Validate schedules keep working across collections.
 #include <gtest/gtest.h>
 
+#include "src/core/descriptor.hpp"
 #include "src/core/dsm.hpp"
 
 namespace sdsm::core {
@@ -95,10 +96,11 @@ TEST(DsmGc, ValidateSchedulesSurviveCollection) {
       }
       self.barrier();
       if (self.id() == 1) {
-        self.validate({indirect_desc(
-            data.addr, sizeof(double), idx.addr,
-            rsd::ArrayLayout{{n}, true},
-            rsd::RegularSection::dense1d(0, n - 1), Access::kRead, 7)});
+        self.validate({DescriptorBuilder::array(data)
+                           .via(idx, rsd::ArrayLayout{{n}, true},
+                                rsd::RegularSection::dense1d(0, n - 1))
+                           .schedule(7)
+                           .read()});
         double sum = 0;
         for (std::int64_t i = 0; i < n; ++i) sum += d[ix[i]];
         double expect = 0;

@@ -338,7 +338,7 @@ TEST(TransportParity, ScriptedExchangeCountsIdenticallyOnBothFabrics) {
 TEST(Network, WireModelDelaysDelivery) {
   WireModel wire;
   wire.latency_us = 20000;  // 20 ms
-  Network net(2, wire);
+  InProcTransport net(2, wire);
   net.send(Port::kService, make(1, 0, 1));
   Timer t;
   net.recv(Port::kService, 1);
@@ -348,7 +348,7 @@ TEST(Network, WireModelDelaysDelivery) {
 TEST(Network, WireModelChargesPerKilobyte) {
   WireModel wire;
   wire.us_per_kb = 10000;  // 10 ms per KB
-  Network net(2, wire);
+  InProcTransport net(2, wire);
   net.send(Port::kService, make(1, 0, 1, 0, 2048));
   Timer t;
   net.recv(Port::kService, 1);
@@ -356,7 +356,7 @@ TEST(Network, WireModelChargesPerKilobyte) {
 }
 
 TEST(Network, ZeroWireModelDeliversImmediately) {
-  Network net(2);
+  InProcTransport net(2);
   net.send(Port::kService, make(1, 0, 1));
   Timer t;
   net.recv(Port::kService, 1);
@@ -367,7 +367,7 @@ TEST(Network, JitterStillDeliversEverything) {
   WireModel wire;
   wire.jitter_us = 500;
   wire.jitter_seed = 123;
-  Network net(2, wire);
+  InProcTransport net(2, wire);
   for (int i = 0; i < 200; ++i) {
     net.send(Port::kService, make(static_cast<std::uint32_t>(i), 0, 1));
   }
@@ -385,7 +385,7 @@ TEST(Network, ReplyMatchingUnderJitter) {
   WireModel wire;
   wire.jitter_us = 300;
   wire.jitter_seed = 7;
-  Network net(2, wire);
+  InProcTransport net(2, wire);
   std::thread server([&net] {
     for (int i = 0; i < 50; ++i) {
       Message req = net.recv(Port::kService, 1);

@@ -3,8 +3,9 @@
 // indirection classification the hybrid uses, the DsmExchange adapter
 // that runs CHAOS collectives over the DSM fabric, the refactored
 // backends' traffic parity against the committed baseline counts, and
-// the hybrid backend's bit-exact checksum matrix across both transports
-// and both reduction-round schedules on moldyn and pagerank.
+// the hybrid backend's bit-exact matrix against CHAOS across both
+// transports and both reduction-round schedules on moldyn, pagerank
+// (rows and bucketed), and the converging frontier kernels bfs and cc.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +14,8 @@
 #include "src/api/api.hpp"
 #include "src/api/plan/dsm_exchange.hpp"
 #include "src/api/plan/plan.hpp"
+#include "src/apps/graph/bfs.hpp"
+#include "src/apps/graph/cc.hpp"
 #include "src/apps/moldyn/moldyn_kernel.hpp"
 #include "src/apps/pagerank/pagerank.hpp"
 #include "src/apps/spmv/spmv.hpp"
@@ -272,6 +275,59 @@ TEST_P(HybridMatrix, PagerankBitExactAgainstChaos) {
       apps::pagerank::run(Backend::kHybrid, p, opts);
   EXPECT_EQ(hybrid.checksum, chaos.checksum);
   EXPECT_EQ(hybrid.steps_run, chaos.steps_run);
+}
+
+// Both drivers run one InspectorGather strategy; these cases pin the parts
+// the hybrid reaches only through its hooks or rarely exercises: the
+// convergence allgather, a rebuild at every step, and bucketed execution.
+void expect_same_run(const api::KernelResult& hybrid,
+                     const api::KernelResult& chaos) {
+  EXPECT_EQ(hybrid.checksum, chaos.checksum);  // bitwise
+  EXPECT_EQ(hybrid.steps_run, chaos.steps_run);
+  EXPECT_EQ(hybrid.rebuilds, chaos.rebuilds);
+}
+
+TEST_P(HybridMatrix, BfsConvergesLikeChaos) {
+  const auto [transport, schedule] = GetParam();
+  apps::graph::Params p;
+  p.num_vertices = 1024;
+  p.nprocs = kNodes;
+  api::BackendOptions opts = apps::bfs::default_options();
+  opts.transport = transport;
+  opts.round_schedule = schedule;
+  const api::KernelResult chaos = apps::bfs::run(Backend::kChaos, p, opts);
+  expect_same_run(apps::bfs::run(Backend::kHybrid, p, opts), chaos);
+  EXPECT_LT(chaos.steps_run, p.num_steps);  // converged early
+  EXPECT_EQ(chaos.rebuilds, chaos.steps_run);  // frontier rebuilt per step
+}
+
+TEST_P(HybridMatrix, CcConvergesLikeChaos) {
+  const auto [transport, schedule] = GetParam();
+  apps::graph::Params p;
+  p.num_vertices = 1024;
+  p.isolated = 64;  // a second component
+  p.nprocs = kNodes;
+  api::BackendOptions opts = apps::cc::default_options();
+  opts.transport = transport;
+  opts.round_schedule = schedule;
+  const api::KernelResult chaos = apps::cc::run(Backend::kChaos, p, opts);
+  expect_same_run(apps::cc::run(Backend::kHybrid, p, opts), chaos);
+  EXPECT_LT(chaos.steps_run, p.num_steps);
+}
+
+TEST_P(HybridMatrix, BucketedPagerankBitExactAgainstChaos) {
+  const auto [transport, schedule] = GetParam();
+  apps::pagerank::Params p;
+  p.num_vertices = 2048;
+  p.num_steps = 6;
+  p.edges_per_vertex = 4;
+  p.nprocs = kNodes;
+  api::BackendOptions opts = apps::pagerank::default_options();
+  opts.transport = transport;
+  opts.round_schedule = schedule;
+  opts.exec_engine = ExecEngine::kBucketed;
+  expect_same_run(apps::pagerank::run(Backend::kHybrid, p, opts),
+                  apps::pagerank::run(Backend::kChaos, p, opts));
 }
 
 std::string hybrid_matrix_name(

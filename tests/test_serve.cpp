@@ -5,7 +5,12 @@
 // backpressure, graceful-shutdown draining, the socket control protocol,
 // fingerprint differentiation, warm-arena isolation between jobs, the
 // snapshot-and-delta stats types, and the shared harness::Options parser.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <string>
 #include <vector>
@@ -453,6 +458,39 @@ TEST(ServeSocket, WaitForUnknownJobFailsCleanly) {
   const JobStats s = client.wait(999);
   EXPECT_FALSE(s.ok);
   EXPECT_EQ(s.error, "unknown job id");
+}
+
+TEST(ServeSocket, OversizedFrameDropsOnlyThatConnection) {
+  ServerConfig cfg = small_server();
+  cfg.listen = true;
+  KernelServer server(cfg);
+
+  // A raw peer announces a 4 GiB payload.  The server must close the
+  // connection on the header alone — no allocation, no wait for the bytes —
+  // which the peer sees as EOF.  The receive timeout turns a server that
+  // instead waits for the payload into a failure rather than a hang.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::uint32_t len = 0xFFFFFFFFu;
+  ASSERT_EQ(::send(fd, &len, sizeof(len), MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(len)));
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
+
+  // The server itself is unharmed: a fresh connection still runs a job.
+  Client client = Client::connect_local(server.port());
+  const JobStats s = client.run(
+      spmv_request(api::Backend::kChaos, net::TransportKind::kInProc));
+  EXPECT_TRUE(s.ok) << s.error;
 }
 
 // --- Wire codecs -----------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "src/core/descriptor.hpp"
 #include "src/core/dsm.hpp"
 
 namespace sdsm::core {
@@ -31,9 +32,9 @@ TEST(Validate, DirectReadPrefetchesInvalidPages) {
     }
     self.barrier();
     if (self.id() == 1) {
-      self.validate({direct_desc(arr.addr, sizeof(int), layout1d(n),
-                                 rsd::RegularSection::dense1d(0, n - 1),
-                                 Access::kRead, /*schedule=*/0)});
+      self.validate({DescriptorBuilder::array(arr, layout1d(n))
+                         .elements(0, n - 1)
+                         .read()});
       // All pages fetched up front: the scan below must not fault.
       const auto faults_before = rt.stats().read_faults.get();
       long long sum = 0;
@@ -58,9 +59,9 @@ TEST(Validate, AggregationUsesOneMessagePairPerProducer) {
     self.barrier();
     if (self.id() == 1) {
       const auto msgs_before = rt.total_messages();
-      self.validate({direct_desc(arr.addr, sizeof(int), layout1d(n),
-                                 rsd::RegularSection::dense1d(0, n - 1),
-                                 Access::kRead, 0)});
+      self.validate({DescriptorBuilder::array(arr, layout1d(n))
+                         .elements(0, n - 1)
+                         .read()});
       // One request + one reply, vs 8 pairs under demand paging.
       EXPECT_EQ(rt.total_messages() - msgs_before, 2u);
     }
@@ -87,10 +88,10 @@ TEST(Validate, IndirectPrefetchFollowsIndirectionArray) {
     }
     self.barrier();
     if (self.id() == 1) {
-      self.validate({indirect_desc(data.addr, sizeof(double), ind.addr,
-                                   layout1d(ni),
-                                   rsd::RegularSection::dense1d(0, ni - 1),
-                                   Access::kRead, 0)});
+      self.validate({DescriptorBuilder::array(data)
+                         .via(ind, layout1d(ni),
+                              rsd::RegularSection::dense1d(0, ni - 1))
+                         .read()});
       const auto faults_before = rt.stats().read_faults.get();
       double sum = 0;
       for (std::size_t i = 0; i < ni; ++i) sum += d[ix[i]];
@@ -111,10 +112,10 @@ TEST(Validate, PageSetIsCachedWhileIndirectionUnchanged) {
       for (int i = 0; i < 32; ++i) self.ptr(ind)[i] = i * 13;
     }
     self.barrier();
-    const auto desc = indirect_desc(data.addr, sizeof(double), ind.addr,
-                                    layout1d(32),
-                                    rsd::RegularSection::dense1d(0, 31),
-                                    Access::kRead, 0);
+    const auto desc = DescriptorBuilder::array(data)
+                          .via(ind, layout1d(32),
+                               rsd::RegularSection::dense1d(0, 31))
+                          .read();
     for (int iter = 0; iter < 5; ++iter) {
       self.validate({desc});
       self.barrier();
@@ -133,10 +134,10 @@ TEST(Validate, LocalWriteToIndirectionArrayTriggersRecompute) {
   rt.run([&](DsmNode& self) {
     std::int32_t* ix = self.ptr(ind);
     for (int i = 0; i < 32; ++i) ix[i] = i;
-    const auto desc = indirect_desc(data.addr, sizeof(double), ind.addr,
-                                    layout1d(32),
-                                    rsd::RegularSection::dense1d(0, 31),
-                                    Access::kRead, 0);
+    const auto desc = DescriptorBuilder::array(data)
+                          .via(ind, layout1d(32),
+                               rsd::RegularSection::dense1d(0, 31))
+                          .read();
     self.validate({desc});
     EXPECT_EQ(rt.stats().validate_recomputes.get(), 1u);
     self.validate({desc});
@@ -154,10 +155,10 @@ TEST(Validate, RemoteWriteToIndirectionArrayTriggersRecompute) {
   auto data = rt.alloc_global<double>(2048);
   auto ind = rt.alloc_global<std::int32_t>(32);
   rt.run([&](DsmNode& self) {
-    const auto desc = indirect_desc(data.addr, sizeof(double), ind.addr,
-                                    layout1d(32),
-                                    rsd::RegularSection::dense1d(0, 31),
-                                    Access::kRead, 0);
+    const auto desc = DescriptorBuilder::array(data)
+                          .via(ind, layout1d(32),
+                               rsd::RegularSection::dense1d(0, 31))
+                          .read();
     if (self.id() == 0) {
       for (int i = 0; i < 32; ++i) self.ptr(ind)[i] = i;
     }
@@ -193,9 +194,9 @@ TEST(Validate, PrefetchedDataMatchesDemandPagedData) {
       self.barrier();
       if (self.id() == 1) {
         if (use_validate) {
-          self.validate({direct_desc(arr.addr, sizeof(double), layout1d(n),
-                                     rsd::RegularSection::dense1d(0, n - 1),
-                                     Access::kRead, 0)});
+          self.validate({DescriptorBuilder::array(arr, layout1d(n))
+                             .elements(0, n - 1)
+                             .read()});
         }
         double sum = 0;
         for (std::size_t i = 0; i < n; ++i) sum += p[i];
@@ -215,9 +216,9 @@ TEST(Validate, PreTwinningAvoidsWriteFaults) {
   rt.run([&](DsmNode& self) {
     self.barrier();
     if (self.id() == 1) {
-      self.validate({direct_desc(arr.addr, sizeof(int), layout1d(n),
-                                 rsd::RegularSection::dense1d(0, n - 1),
-                                 Access::kReadWrite, 0)});
+      self.validate({DescriptorBuilder::array(arr, layout1d(n))
+                         .elements(0, n - 1)
+                         .read_write()});
       const auto wf_before = rt.stats().write_faults.get();
       int* p = self.ptr(arr);
       for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<int>(i);
@@ -236,9 +237,9 @@ TEST(Validate, WriteAllSkipsTwinsAndShipsWholePages) {
   rt.run([&](DsmNode& self) {
     int* p = self.ptr(arr);
     if (self.id() == 0) {
-      self.validate({direct_desc(arr.addr, sizeof(int), layout1d(n),
-                                 rsd::RegularSection::dense1d(0, n - 1),
-                                 Access::kWriteAll, 0)});
+      self.validate({DescriptorBuilder::array(arr, layout1d(n))
+                         .elements(0, n - 1)
+                         .write_all()});
       for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<int>(i + 7);
     }
     self.barrier();
@@ -260,9 +261,9 @@ TEST(Validate, WriteAllDisabledFallsBackToTwins) {
   rt.run([&](DsmNode& self) {
     int* p = self.ptr(arr);
     if (self.id() == 0) {
-      self.validate({direct_desc(arr.addr, sizeof(int), layout1d(n),
-                                 rsd::RegularSection::dense1d(0, n - 1),
-                                 Access::kWriteAll, 0)});
+      self.validate({DescriptorBuilder::array(arr, layout1d(n))
+                         .elements(0, n - 1)
+                         .write_all()});
       for (std::size_t i = 0; i < n; ++i) p[i] = 5;
     }
     self.barrier();
@@ -284,9 +285,9 @@ TEST(Validate, ReadWriteAllReductionChainAcrossNodes) {
     int* p = self.ptr(arr);
     for (std::uint32_t round = 0; round < nodes; ++round) {
       if (round == self.id()) {
-        self.validate({direct_desc(arr.addr, sizeof(int), layout1d(n),
-                                   rsd::RegularSection::dense1d(0, n - 1),
-                                   Access::kReadWriteAll, 0)});
+        self.validate({DescriptorBuilder::array(arr, layout1d(n))
+                           .elements(0, n - 1)
+                           .read_write_all()});
         for (std::size_t i = 0; i < n; ++i) p[i] = p[i] + 1;
       }
       self.barrier();
@@ -311,10 +312,11 @@ TEST(Validate, MultipleDescriptorsFetchInOneCall) {
     if (self.id() == 1) {
       const auto msgs_before = rt.total_messages();
       self.validate(
-          {direct_desc(a.addr, sizeof(int), layout1d(1024),
-                       rsd::RegularSection::dense1d(0, 1023), Access::kRead, 0),
-           direct_desc(b.addr, sizeof(double), layout1d(512),
-                       rsd::RegularSection::dense1d(0, 511), Access::kRead, 1)});
+          {DescriptorBuilder::array(a, layout1d(1024)).elements(0, 1023).read(),
+           DescriptorBuilder::array(b, layout1d(512))
+               .elements(0, 511)
+               .schedule(1)
+               .read()});
       // Both arrays come from node 0 in a single request/reply pair.
       EXPECT_EQ(rt.total_messages() - msgs_before, 2u);
       EXPECT_EQ(self.ptr(a)[1000], 1000);
@@ -337,10 +339,10 @@ TEST(Validate, StridedIndirectionSection) {
     }
     self.barrier();
     if (self.id() == 1) {
-      self.validate({indirect_desc(data.addr, sizeof(double), ind.addr,
-                                   layout1d(64),
-                                   rsd::RegularSection({rsd::Dim{0, 63, 2}}),
-                                   Access::kRead, 0)});
+      self.validate({DescriptorBuilder::array(data)
+                         .via(ind, layout1d(64),
+                              rsd::RegularSection({rsd::Dim{0, 63, 2}}))
+                         .read()});
       const auto faults_before = rt.stats().read_faults.get();
       double sum = 0;
       for (int i = 0; i < 64; i += 2) sum += self.ptr(data)[self.ptr(ind)[i]];
@@ -369,9 +371,9 @@ TEST(CrossStepPrefetch, SameMessagesAsPlainValidateAndNoFaults) {
         for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<int>(i);
       }
       self.barrier();
-      const auto desc = direct_desc(arr.addr, sizeof(int), layout1d(n),
-                                    rsd::RegularSection::dense1d(0, n - 1),
-                                    Access::kRead, /*schedule=*/0);
+      const auto desc = DescriptorBuilder::array(arr, layout1d(n))
+                            .elements(0, n - 1)
+                            .read();
       if (self.id() == 1) {
         // The pages are final at the barrier exit: node 0 wrote them
         // before arriving.  Posting here is the prefetch-past-
@@ -405,9 +407,9 @@ TEST(CrossStepPrefetch, FaultOnPrefetchedPageConsumesInFlightRequests) {
     self.barrier();
     if (self.id() == 1) {
       self.post_validate_prefetch(
-          {direct_desc(arr.addr, sizeof(int), layout1d(n),
-                       rsd::RegularSection::dense1d(0, n - 1), Access::kRead,
-                       /*schedule=*/0)});
+          {DescriptorBuilder::array(arr, layout1d(n))
+               .elements(0, n - 1)
+               .read()});
       EXPECT_GT(rt.stats().cross_prefetch_posts.get(), 0u);
       // Touch the data with no validate in between: the fault handler
       // must complete the in-flight fetch instead of issuing a second
@@ -436,9 +438,9 @@ TEST(CrossStepPrefetch, BarrierConsumesOutstandingPrefetch) {
     self.barrier();
     if (self.id() == 1) {
       self.post_validate_prefetch(
-          {direct_desc(arr.addr, sizeof(int), layout1d(n),
-                       rsd::RegularSection::dense1d(0, n - 1), Access::kRead,
-                       /*schedule=*/0)});
+          {DescriptorBuilder::array(arr, layout1d(n))
+               .elements(0, n - 1)
+               .read()});
     }
     self.barrier();  // must complete, not leak, the in-flight tickets
     if (self.id() == 1) {
@@ -462,14 +464,15 @@ TEST(CrossStepPrefetch, ValidPagesAndStaleSchedulesAreNotPrefetched) {
       const auto posts_before = rt.stats().cross_prefetch_posts.get();
       // Never-synchronized pages are still valid: nothing to fetch.
       self.post_validate_prefetch(
-          {direct_desc(data.addr, sizeof(double), layout1d(4096),
-                       rsd::RegularSection::dense1d(0, 4095), Access::kRead,
-                       /*schedule=*/0)});
+          {DescriptorBuilder::array(data, layout1d(4096))
+               .elements(0, 4095)
+               .read()});
       // Schedule 42 has never been validated: its page set is unknown.
       self.post_validate_prefetch(
-          {indirect_desc(data.addr, sizeof(double), ind.addr, layout1d(64),
-                         rsd::RegularSection::dense1d(0, 63), Access::kRead,
-                         /*schedule=*/42)});
+          {DescriptorBuilder::array(data)
+               .via(ind, layout1d(64), rsd::RegularSection::dense1d(0, 63))
+               .schedule(42)
+               .read()});
       EXPECT_EQ(rt.stats().cross_prefetch_posts.get(), posts_before);
     }
     self.barrier();
