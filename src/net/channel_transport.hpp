@@ -2,7 +2,7 @@
 //
 // Both concrete fabrics end up with the same receive-side shape: per
 // (node, port) FIFO queues consumed by at most one thread each, blocking
-// receive with a brief adaptive spin, and reply matching by request id for
+// receive after a spin bounded by time, and reply matching by request id for
 // the split-phase wait/poll path.  ChannelTransport implements all of
 // that; a concrete transport only decides how a sent message reaches
 // deliver() — directly (in-process) or through real sockets (a demux
@@ -25,7 +25,6 @@ class ChannelTransport : public Transport {
   std::uint32_t num_nodes() const override { return num_nodes_; }
 
   Message recv(Port port, NodeId node) override;
-  std::optional<Message> try_recv(Port port, NodeId node) override;
   Message wait(const Ticket& t) override;
   std::optional<Message> poll(const Ticket& t) override;
   std::uint64_t next_request_id(NodeId node) override;
@@ -55,13 +54,19 @@ class ChannelTransport : public Transport {
       Clock::time_point deliver_at;
     };
     std::deque<Entry> q;
-    /// Lock-free arrival count, used by the spin phase of the receive
-    /// paths (see spin_for_arrival).
-    std::atomic<std::uint32_t> size{0};
+    /// Messages ever delivered, bumped under `mu`; the spin phase of a
+    /// receive polls it without the lock (see await_arrival).
+    std::atomic<std::uint64_t> arrivals{0};
   };
 
   Channel& channel(Port port, NodeId node);
-  void spin_for_arrival(const Channel& ch) const;
+
+  /// With `lk` holding ch.mu, returns once a message has been delivered to
+  /// `ch` since the call, or on a spurious wakeup.  Spins with the lock
+  /// released until `spin_end` (set to now + the spin budget on a
+  /// receive's first call), then blocks on ch.cv.
+  static void await_arrival(Channel& ch, std::unique_lock<std::mutex>& lk,
+                            Clock::time_point& spin_end);
 
   const std::uint32_t num_nodes_;
   std::vector<std::unique_ptr<Channel>> channels_;  // [node * kNumPorts + port]

@@ -142,12 +142,16 @@ void SocketTransport::switch_loop() {
       buf.insert(buf.end(), chunk.begin(), chunk.begin() + r);
       // Forward every complete frame verbatim; the switch only needs dst.
       std::size_t pos = 0;
+      bool malformed = false;
       while (buf.size() - pos >= sizeof(std::uint32_t)) {
         std::uint32_t frame_len = 0;
         std::memcpy(&frame_len, buf.data() + pos, sizeof(frame_len));
+        if (!frame_len_ok(frame_len)) {
+          malformed = true;
+          break;
+        }
         const std::size_t total = sizeof(frame_len) + frame_len;
         if (buf.size() - pos < total) break;
-        SDSM_ASSERT(frame_len >= sizeof(FrameHeader));
         FrameHeader h{};
         std::memcpy(&h, buf.data() + pos + sizeof(frame_len), sizeof(h));
         SDSM_ASSERT(h.dst < num_nodes());
@@ -155,6 +159,15 @@ void SocketTransport::switch_loop() {
           write_full(switch_fd_[h.dst], buf.data() + pos, total);
         }
         pos += total;
+      }
+      if (malformed) {
+        // The buffer would grow toward the claimed length; drop the
+        // connection instead, as read_frame does.
+        ::shutdown(switch_fd_[src], SHUT_RDWR);
+        std::vector<std::uint8_t>().swap(buf);
+        open[src] = false;
+        --open_count;
+        continue;
       }
       buf.erase(buf.begin(), buf.begin() + pos);
     }

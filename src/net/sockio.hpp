@@ -34,6 +34,18 @@ struct FrameHeader {
 };
 static_assert(sizeof(FrameHeader) == 24);
 
+/// Largest `frame_len` a reader accepts.  The length prefix comes from a
+/// peer, so it is checked before anything is allocated; a frame outside
+/// [sizeof(FrameHeader), kMaxFrameLen] is a protocol error that closes
+/// the connection.  The largest frame the test suite and the benches send
+/// is ~150 KB, so 64 MiB leaves two orders of magnitude of headroom for
+/// larger inputs while bounding what one bad header can cost.
+inline constexpr std::uint32_t kMaxFrameLen = 64u << 20;
+
+inline bool frame_len_ok(std::uint32_t frame_len) {
+  return frame_len >= sizeof(FrameHeader) && frame_len <= kMaxFrameLen;
+}
+
 /// Full write with EINTR retry; MSG_NOSIGNAL so a torn-down peer yields
 /// EPIPE instead of killing the process.  Returns false on any error.
 inline bool write_full(int fd, const void* data, std::size_t n) {
@@ -88,11 +100,12 @@ inline std::vector<std::uint8_t> encode_frame(Port port, const Message& msg) {
 }
 
 /// Reads one frame from `fd` into (header, message).  Returns false on
-/// EOF/error (clean teardown included).
+/// EOF/error (clean teardown included) and on a length outside
+/// frame_len_ok, which the caller treats as a closed connection.
 inline bool read_frame(int fd, FrameHeader& h, Message& msg) {
   std::uint32_t frame_len = 0;
   if (!read_full(fd, &frame_len, sizeof(frame_len))) return false;
-  if (frame_len < sizeof(FrameHeader)) return false;
+  if (!frame_len_ok(frame_len)) return false;
   if (!read_full(fd, &h, sizeof(h))) return false;
   msg.type = h.type;
   msg.src = h.src;

@@ -103,9 +103,6 @@ class Transport {
   /// Blocking receive of the next delivered message for (node, port).
   virtual Message recv(Port port, NodeId node) = 0;
 
-  /// Non-blocking variant; nullopt when nothing has been delivered.
-  virtual std::optional<Message> try_recv(Port port, NodeId node) = 0;
-
   // --- Split phase ---------------------------------------------------------
 
   /// Stamps msg.request_id from msg.src's counter, sends it on the service

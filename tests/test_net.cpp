@@ -1,17 +1,19 @@
 // Tests for the message fabric: ordering, reply matching, stats
-// accounting, the split-phase post/wait/poll path, and the wire-cost
-// model.  Behaviors shared by every transport run against both InProc and
-// Socket through the make_transport factory; the wire-model/jitter tests
-// are in-process only (the socket fabric measures real cost instead of
-// simulating one).
+// accounting, the split-phase post/wait/poll path, idle receivers, socket
+// frame validation, and the wire-cost model.  Behaviors shared by every
+// transport run against both InProc and Socket through the make_transport
+// factory; the wire-model/jitter tests are in-process only (the socket
+// fabric measures real cost instead of simulating one).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <ctime>
 #include <thread>
 
 #include "src/common/timer.hpp"
 #include "src/net/network.hpp"
 #include "src/net/socket_transport.hpp"
+#include "src/net/sockio.hpp"
 #include "src/net/transport.hpp"
 
 namespace sdsm::net {
@@ -99,20 +101,6 @@ TEST_P(TransportTest, FifoOrderWithConcurrentSenders) {
   t1.join();
 }
 
-TEST_P(TransportTest, TryRecvEmptyReturnsNullopt) {
-  auto net = make_net(2);
-  EXPECT_FALSE(net->try_recv(Port::kReply, 0).has_value());
-  net->send(Port::kReply, make(1, 1, 0));
-  // The socket transport delivers asynchronously; wait for arrival.
-  std::optional<Message> m;
-  for (int i = 0; i < 10000 && !m; ++i) {
-    m = net->try_recv(Port::kReply, 0);
-    if (!m) std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  ASSERT_TRUE(m.has_value());
-  EXPECT_EQ(m->type, 1u);
-}
-
 TEST_P(TransportTest, RecvReplyMatchesOutOfOrder) {
   auto net = make_net(2);
   net->send(Port::kReply, make(1, 1, 0, /*rid=*/55));
@@ -133,6 +121,48 @@ TEST_P(TransportTest, RecvReplyBlocksUntilArrival) {
   Message m = net->recv_reply(0, 77);
   EXPECT_EQ(m.type, 9u);
   EXPECT_GE(t.elapsed_ms(), 20.0);
+  sender.join();
+}
+
+TEST_P(TransportTest, IdleReceiverDoesNotBurnCpu) {
+  // A receiver left waiting spins only briefly, then sleeps: 50 ms of
+  // waiting, in recv and then in wait, costs it well under 1 ms of CPU.
+  auto net = make_net(2);
+  auto thread_cpu_ms = [] {
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  };
+  double recv_cpu_ms = 0, wait_cpu_ms = 0;
+  std::thread receiver([&] {
+    double start = thread_cpu_ms();
+    net->recv(Port::kService, 1);
+    recv_cpu_ms = thread_cpu_ms() - start;
+    start = thread_cpu_ms();
+    net->wait(Ticket{1, 5});
+    wait_cpu_ms = thread_cpu_ms() - start;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  net->send(Port::kService, make(1, 0, 1));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  net->send(Port::kReply, make(2, 0, 1, /*rid=*/5));
+  receiver.join();
+  EXPECT_LT(recv_cpu_ms, 1.0);
+  EXPECT_LT(wait_cpu_ms, 1.0);
+}
+
+TEST_P(TransportTest, WaitPassesOverAnUnrelatedQueuedReply) {
+  // A reply for another ticket already queued must not end (or confuse)
+  // a wait whose own reply arrives later.
+  auto net = make_net(2);
+  net->send(Port::kReply, make(1, 1, 0, /*rid=*/11));
+  std::thread sender([&net] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    net->send(Port::kReply, make(2, 1, 0, /*rid=*/12));
+  });
+  EXPECT_EQ(net->wait(Ticket{0, 12}).type, 2u);
+  EXPECT_EQ(net->wait(Ticket{0, 11}).type, 1u);
   sender.join();
 }
 
@@ -328,6 +358,26 @@ TEST(TransportParity, ScriptedExchangeCountsIdenticallyOnBothFabrics) {
   }
   EXPECT_EQ(messages[0], messages[1]);
   EXPECT_EQ(bytes[0], bytes[1]);
+}
+
+// ---------------------------------------------------------------------------
+// Socket framing: a peer's length prefix is untrusted.
+// ---------------------------------------------------------------------------
+
+TEST(SockIo, ReadFrameRejectsOversizedLength) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::uint32_t frame_len = 0xFFFFFFF0u;
+  const FrameHeader h{1, 0, 1, 0, 7};
+  ASSERT_TRUE(write_full(fds[1], &frame_len, sizeof(frame_len)));
+  ASSERT_TRUE(write_full(fds[1], &h, sizeof(h)));
+  ::close(fds[1]);
+  FrameHeader got{};
+  Message msg;
+  EXPECT_FALSE(read_frame(fds[0], got, msg));
+  // Rejected from the length alone, before any payload was allocated.
+  EXPECT_EQ(msg.payload.capacity(), 0u);
+  ::close(fds[0]);
 }
 
 // ---------------------------------------------------------------------------
