@@ -59,7 +59,6 @@ void ablation_aggregation() {
                        0, use_validate ? "1 request pair" : "1 pair per page"});
   }
   t.print(std::cout);
-  t.print_csv(std::cout);
 }
 
 // --- B: WRITE_ALL ----------------------------------------------------------
@@ -87,7 +86,6 @@ void ablation_write_all() {
                        0, r.messages, r.megabytes, 0, note});
   }
   t.print(std::cout);
-  t.print_csv(std::cout);
   std::printf("Paper (Sec 5.1.1): flagging whole-section writes makes the\n"
               "runtime send the page instead of accumulated overlapping\n"
               "diffs, cutting data volume; twins drop to zero as well.\n\n");
@@ -115,7 +113,6 @@ void ablation_false_sharing() {
                        r.seconds, 0, r.messages, r.megabytes, 0, ""});
   }
   t.print(std::cout);
-  t.print_csv(std::cout);
   std::printf("Paper (Sec 5.2.1): the 64x1000 size introduces false sharing\n"
               "at partition boundaries, costing TreadMarks extra messages\n"
               "and data relative to the aligned 64x1024 size.\n");

@@ -1,8 +1,8 @@
 // The unified-API bench: every workload (moldyn, nbf, spmv, pagerank, and
 // the frontier-driven bfs/cc pair) on every backend through sdsm::api,
-// one row per (workload, backend).  Alongside the human table and CSV it
-// writes BENCH_api.json — the machine-readable perf trajectory successive
-// PRs diff against (see bench/compare_bench.py).  Rows carry the CSR
+// one row per (workload, backend).  Alongside the human table it writes
+// BENCH_api.json — the machine-readable perf trajectory successive changes
+// diff against (see bench/compare_bench.py).  Rows carry the CSR
 // shape columns (refs, max_row) so degree skew — and what padding it
 // would cost — is auditable from the JSON alone, plus a rebuilds column
 // so rebuild-heavy workloads (frontier rows rebuild every step) are
@@ -106,15 +106,7 @@ void add_row(harness::Table& table, const char* group, api::Backend b,
                    r.rebuilds};
   row.diff_create_seconds = r.diff_create_seconds;
   row.diff_apply_seconds = r.diff_apply_seconds;
-  if (opts.coherence == coherence::CoherencePolicy::kAdaptive) {
-    // Adaptive rows carry the decision counters as extra exact-gate
-    // columns; static rows omit them so the pre-existing JSON stays
-    // byte-identical.  CHAOS ignores the policy and reports zeros.
-    row.coherence_cols = true;
-    row.replications = r.tmk.replications;
-    row.migrations = r.tmk.migrations;
-    row.ghost_promotions = r.tmk.ghost_promotions;
-  }
+  row.tmk = r.tmk;
   table.add(std::move(row));
 }
 
@@ -447,6 +439,7 @@ void add_proc_rows(harness::Table& table,
       row.max_row = lr.result.max_row;
       row.barriers_per_step = lr.result.barriers_per_step;
       row.rebuilds = lr.result.rebuilds;
+      row.tmk = lr.result.tmk;
       table.add(row);
     }
   }
@@ -747,7 +740,6 @@ int main(int argc, char** argv) {
   }
 
   table.print(std::cout);
-  table.print_csv(std::cout);
   if (opt.value("group")) {
     std::printf("--group filter active: bench JSON left untouched "
                 "(a full run re-baselines)\n");

@@ -54,7 +54,6 @@ int main() {
     if (tk.seconds >= ch.seconds) tmk_always_faster_with_inspector = false;
   }
   t1.print(std::cout);
-  t1.print_csv(std::cout);
   std::printf("Moldyn run time includes the inspector (as in Table 1): "
               "Tmk-opt faster in every configuration: %s\n\n",
               tmk_always_faster_with_inspector ? "YES (matches paper)"
@@ -83,7 +82,6 @@ int main() {
                         "scan paid in warmup"});
     std::printf("\n");
     t2.print(std::cout);
-    t2.print_csv(std::cout);
     std::printf(
         "Including the untimed inspector, CHAOS total = %.3f s vs Tmk "
         "%.3f s -> %s (paper: Tmk always faster once the inspector "

@@ -74,7 +74,6 @@ int main() {
   }
 
   table.print(std::cout);
-  table.print_csv(std::cout);
 
   std::printf(
       "Expected shape (paper Table 1): Tmk optimized fastest; Tmk base\n"

@@ -70,7 +70,6 @@ int main() {
   }
 
   table.print(std::cout);
-  table.print_csv(std::cout);
 
   std::printf(
       "Expected shape (paper): CHAOS slightly ahead of Tmk optimized (push\n"

@@ -74,7 +74,6 @@ int main() {
   }
 
   table.print(std::cout);
-  table.print_csv(std::cout);
 
   std::printf(
       "Expected shape: as the interval shrinks (more rebuilds), CHAOS's\n"

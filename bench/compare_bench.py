@@ -2,30 +2,37 @@
 """Diff two bench JSONs (e.g. BENCH_api.json) and flag perf regressions.
 
 Usage:
-    python3 bench/compare_bench.py BASELINE.json CANDIDATE.json [--threshold 0.10]
+    python3 bench/compare_bench.py BASELINE.json CANDIDATE.json [--threshold 0.10] [--exact]
 
-Rows are matched by (group, variant).  For each matched row the script
-reports the relative change in wall-clock seconds, messages, data volume,
-barriers per step, rebuilds, serving throughput (jobs/sec), and schedule
-cache hits, and flags any metric that regressed by more than the
-threshold (default 10%).  Regression direction is per-metric: most
-metrics regress by growing, jobs/sec regresses by shrinking.
+Rows are matched by (group, variant).  Which columns are compared, and how,
+comes from the baseline's top-level "schema" array: one {name, unit, gate}
+entry per gated column.  bench_api writes it from two declarations: the
+row-level columns next to the JSON writer (src/harness/experiment.cpp) and
+the DSM protocol counters in src/common/stats.hpp.  The gate classes:
 
-Timing-derived rows (seconds, jobs/sec) are noisy on shared runners;
-message, byte, barrier, rebuild, and cache-hit counts are exact and
-deterministic, so `--exact` ignores timing entirely and instead fails on
-ANY difference in those metrics (growth or shrinkage — an unexplained
-decrease signals a traffic-accounting bug just as loudly, and a
-cache-hit count drifting in either direction means the serving layer's
-schedule cache changed behaviour).  CI runs the script twice: once plain
-for the human-readable diff, once with --exact as the gate.
+    exact   counted and deterministic (messages, megabytes, barriers,
+            rebuilds, cache hits, every protocol count).  --exact fails on
+            ANY difference, growth or shrinkage: an unexplained decrease
+            signals an accounting bug just as loudly.  The plain pass flags
+            growth past the threshold.
+    lower   timing-derived and noisy on shared runners (seconds, the diff
+            timings, the *_ns phase timers).  The plain pass flags growth
+            past the threshold; --exact ignores them.
+    higher  like lower, but the drop is the regression (jobs_per_sec).
+
+A key missing from a row reads as 0: rows that are not kernel runs carry no
+protocol counters.  --exact also fails when a row appears or disappears, and
+when the candidate's schema differs from the baseline's, so a new counter
+lands together with a regenerated baseline.  The report lists, per row, only
+the columns that moved.  CI runs the script twice: once plain for the
+human-readable diff, once with --exact as the gate.
 
 Exit status distinguishes outcomes so CI can treat the plain pass as
 advisory without swallowing real failures:
     0  clean
     1  regression / exact-metric mismatch (advisory in the plain pass)
-    2  the comparison itself failed (missing file, unreadable JSON,
-       malformed rows) — always a CI failure, never advisory
+    2  the comparison itself failed (missing file, unreadable JSON, no
+       schema, malformed rows) — always a CI failure, never advisory
 """
 
 import argparse
@@ -36,40 +43,26 @@ EXIT_CLEAN = 0
 EXIT_REGRESSION = 1
 EXIT_ERROR = 2
 
-METRICS = [
-    # (key, pretty name,
-    #  exact: deterministic, gated bidirectionally by --exact,
-    #  higher_is_better: which direction counts as the regression in
-    #  plain mode — jobs/sec shrinking is a regression, everything else
-    #  growing is)
-    ("seconds", "time", False, False),
-    ("messages", "messages", True, False),
-    ("megabytes", "data", True, False),
-    ("barriers_per_step", "barriers", True, False),
-    ("rebuilds", "rebuilds", True, False),
-    ("jobs_per_sec", "jobs/s", False, True),
-    ("cache_hits", "hits", True, False),
-    # Adaptive-coherence decision counters.  Only adaptive rows carry the
-    # keys; rows without them read as 0 on both sides, so pre-existing
-    # static rows gate exactly as before.
-    ("replications", "repl", True, False),
-    ("migrations", "migr", True, False),
-    # Diff hot-path wall time (per node): twin-vs-page scans and
-    # Diff::apply loops.  Timing-derived like `seconds`, so direction-aware
-    # in plain mode and ignored by --exact — the diff-engine A/B moves
-    # these while its traffic stays byte-identical.
-    ("diff_create_seconds", "diff-mk", False, False),
-    ("diff_apply_seconds", "diff-ap", False, False),
-]
+GATES = ("exact", "lower", "higher")
 
 
-def load_rows(path):
+def load(path):
+    """Returns (schema, rows): the schema as a list of (name, unit, gate)
+    and the rows keyed by (group, variant)."""
     with open(path) as f:
         doc = json.load(f)
+    if "schema" not in doc:
+        raise ValueError(f"{path} has no schema")
+    schema = []
+    for col in doc["schema"]:
+        if col["gate"] not in GATES:
+            raise ValueError(f"{path}: column {col['name']!r} has unknown "
+                             f"gate {col['gate']!r}")
+        schema.append((col["name"], col["unit"], col["gate"]))
     rows = {}
     for r in doc.get("rows", []):
         rows[(r["group"], r["variant"])] = r
-    return rows
+    return schema, rows
 
 
 def fmt_delta(base, cand):
@@ -78,42 +71,52 @@ def fmt_delta(base, cand):
     return f"{(cand - base) / base:+.1%}"
 
 
-def compare(base, cand, threshold, exact):
+def schema_changes(base_schema, cand_schema):
+    """Human-readable differences between two schemas (empty when they
+    declare the same columns; order does not matter)."""
+    base = {name: (unit, gate) for name, unit, gate in base_schema}
+    cand = {name: (unit, gate) for name, unit, gate in cand_schema}
+    changes = [f"column {n!r} added" for n in cand if n not in base]
+    changes += [f"column {n!r} removed" for n in base if n not in cand]
+    changes += [f"column {n!r} changed {base[n]} -> {cand[n]}"
+                for n in base if n in cand and base[n] != cand[n]]
+    return changes
+
+
+def compare(base_schema, base, cand_schema, cand, threshold, exact):
     """Returns (report_lines, regression_lines)."""
     report = []
     regressions = []
-    width = max((len(f"{g} / {v}") for g, v in cand), default=20)
-    header = f"{'row':<{width}}" + "".join(
-        f"  {name:>9}" for _, name, _, _ in METRICS)
-    report.append(header)
-    report.append("-" * len(header))
+    for change in schema_changes(base_schema, cand_schema):
+        report.append(f"schema: {change}")
+        if exact:
+            regressions.append(f"schema: {change} (regenerate the baseline)")
     for key in sorted(cand):
+        label = f"{key[0]} / {key[1]}"
         if key not in base:
-            report.append(f"{key[0]} / {key[1]}: (new row)")
+            report.append(f"{label}: (new row)")
             if exact:
-                regressions.append(f"{key[0]} / {key[1]}: row not in baseline")
+                regressions.append(f"{label}: row not in baseline")
             continue
         b, c = base[key], cand[key]
-        cells = []
-        for metric, name, is_exact, higher_is_better in METRICS:
-            bv, cv = b.get(metric, 0), c.get(metric, 0)
-            cells.append(fmt_delta(bv, cv))
-            # The regression direction flips for throughput metrics:
-            # fewer jobs/sec is the regression, not more.
-            bad_delta = (bv - cv) if higher_is_better else (cv - bv)
+        moved = []
+        for name, _, gate in base_schema:
+            bv, cv = b.get(name, 0), c.get(name, 0)
+            if bv == cv:
+                continue
+            moved.append(f"{name} {fmt_delta(bv, cv)}")
             if exact:
-                if is_exact and bv != cv:
+                if gate == "exact":
                     regressions.append(
-                        f"{key[0]} / {key[1]}: {name} must be exact, "
-                        f"{bv} -> {cv}"
-                    )
-            elif bv > 0 and bad_delta / bv > threshold:
+                        f"{label}: {name} must be exact, {bv} -> {cv}")
+                continue
+            # Growth is the regression, except for higher-is-better columns
+            # (throughput), where the drop is.
+            bad_delta = (bv - cv) if gate == "higher" else (cv - bv)
+            if bv > 0 and bad_delta / bv > threshold:
                 regressions.append(
-                    f"{key[0]} / {key[1]}: {name} {fmt_delta(bv, cv)} "
-                    f"({bv} -> {cv})"
-                )
-        report.append(f"{f'{key[0]} / {key[1]}':<{width}}" +
-                      "".join(f"  {cell:>9}" for cell in cells))
+                    f"{label}: {name} {fmt_delta(bv, cv)} ({bv} -> {cv})")
+        report.append(f"{label}: {'  '.join(moved) if moved else 'unchanged'}")
     for key in sorted(base.keys() - cand.keys()):
         report.append(f"{key[0]} / {key[1]}: row disappeared")
         if exact:
@@ -137,8 +140,7 @@ def main():
         "--exact",
         action="store_true",
         help="gate mode: ignore timing, fail on any difference in the "
-        "deterministic metrics (messages/megabytes/barriers/rebuilds/"
-        "cache_hits) in either direction",
+        "schema's exact columns in either direction, or in the schema",
     )
     args = ap.parse_args()
 
@@ -146,12 +148,13 @@ def main():
     # on stderr and exit 2 so CI never mistakes a crashed gate for a clean
     # (or merely advisory) one.
     try:
-        base = load_rows(args.baseline)
-        cand = load_rows(args.candidate)
+        base_schema, base = load(args.baseline)
+        cand_schema, cand = load(args.candidate)
         # The comparison itself is inside the guard too: a row with a
         # null/string metric value raises during arithmetic, and that is a
         # crashed gate (2), not a regression verdict (1).
-        report, regressions = compare(base, cand, args.threshold, args.exact)
+        report, regressions = compare(base_schema, base, cand_schema, cand,
+                                      args.threshold, args.exact)
     except OSError as e:
         print(f"compare_bench: cannot read input: {e}", file=sys.stderr)
         return EXIT_ERROR

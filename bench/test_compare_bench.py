@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Unit tests for compare_bench.py — the script that gates every merge via
-`--exact` deserves coverage of its own: row matching (missing / added /
-disappeared rows), threshold boundaries, bidirectional exactness, and the
-exit-code contract (0 clean, 1 regression, 2 the comparison itself
-crashed).
+`--exact` deserves coverage of its own: the schema that names the gated
+columns, row matching (missing / added / disappeared rows), threshold
+boundaries, bidirectional exactness, and the exit-code contract (0 clean,
+1 regression, 2 the comparison itself crashed).
 
 Runs under plain `python3 bench/test_compare_bench.py` (unittest only, no
 pytest dependency) and is registered with ctest as test_compare_bench_py.
@@ -18,6 +18,27 @@ import unittest
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "compare_bench.py")
+
+
+def col(name, unit, gate):
+    return {"name": name, "unit": unit, "gate": gate}
+
+
+# The shape bench_api writes: row-level columns, then protocol counters (a
+# few stand in for the whole list).
+SCHEMA = [
+    col("seconds", "s", "lower"),
+    col("messages", "count", "exact"),
+    col("megabytes", "MB", "exact"),
+    col("barriers_per_step", "count", "exact"),
+    col("rebuilds", "count", "exact"),
+    col("jobs_per_sec", "1/s", "higher"),
+    col("cache_hits", "count", "exact"),
+    col("read_faults", "count", "exact"),
+    col("replications", "count", "exact"),
+    col("migrations", "count", "exact"),
+    col("t_barrier_ns", "ns", "lower"),
+]
 
 
 def row(group, variant, seconds=1.0, messages=100, megabytes=10.0,
@@ -54,10 +75,16 @@ class CompareBenchTest(unittest.TestCase):
             [sys.executable, SCRIPT, baseline, candidate, *flags],
             capture_output=True, text=True)
 
-    def compare(self, base_rows, cand_rows, *flags):
-        baseline = self.write("base.json", {"rows": base_rows})
-        candidate = self.write("cand.json", {"rows": cand_rows})
+    def compare(self, base_rows, cand_rows, *flags, base_schema=SCHEMA,
+                cand_schema=SCHEMA):
+        baseline = self.write("base.json",
+                              {"schema": base_schema, "rows": base_rows})
+        candidate = self.write("cand.json",
+                               {"schema": cand_schema, "rows": cand_rows})
         return self.run_compare(baseline, candidate, *flags)
+
+    def doc(self, name, rows):
+        return self.write(name, {"schema": SCHEMA, "rows": rows})
 
     # --- clean runs ---------------------------------------------------------
 
@@ -137,7 +164,7 @@ class CompareBenchTest(unittest.TestCase):
         p = self.compare([row("g", "a", jobs_per_sec=100.0)],
                          [row("g", "a", jobs_per_sec=80.0)])
         self.assertEqual(p.returncode, 1)
-        self.assertIn("jobs/s", p.stderr)
+        self.assertIn("jobs_per_sec", p.stderr)
 
     def test_jobs_per_sec_growth_is_clean(self):
         p = self.compare([row("g", "a", jobs_per_sec=100.0)],
@@ -170,28 +197,92 @@ class CompareBenchTest(unittest.TestCase):
                          [row("g", "a", cache_hits=0)])
         self.assertEqual(p.returncode, 0, p.stderr)
 
-    # --- adaptive-coherence metrics -----------------------------------------
+    # --- protocol counters and the schema -----------------------------------
 
-    def test_exact_gates_replications_and_migrations(self):
-        # The coherence decision counters are deterministic (write-census
-        # classification): any drift means the policy changed behaviour.
-        for key, label in (("replications", "repl"), ("migrations", "migr")):
-            base = [dict(row("g", "a"), **{key: 12})]
-            cand = [dict(row("g", "a"), **{key: 11})]
-            p = self.compare(base, cand, "--exact")
-            self.assertEqual(p.returncode, 1)
-            self.assertIn(label, p.stderr)
+    def test_exact_gates_every_exact_counter_in_the_schema(self):
+        # Protocol counts are deterministic: any drift in either direction
+        # means the protocol changed behaviour.
+        for key in ("read_faults", "replications", "migrations"):
+            for cand_value in (11, 13):
+                p = self.compare([dict(row("g", "a"), **{key: 12})],
+                                 [dict(row("g", "a"), **{key: cand_value})],
+                                 "--exact")
+                self.assertEqual(p.returncode, 1)
+                self.assertIn(key, p.stderr)
 
-    def test_rows_without_coherence_keys_stay_clean(self):
-        # Static rows never carry the coherence keys; both sides default to
-        # 0, so a pre-coherence baseline still gates clean against itself.
+    def test_lower_counter_is_timing(self):
+        # A phase timer is direction-aware in the plain pass and ignored by
+        # --exact, like seconds.
+        base = [dict(row("g", "a"), t_barrier_ns=1000)]
+        cand = [dict(row("g", "a"), t_barrier_ns=5000)]
+        self.assertEqual(self.compare(base, cand, "--exact").returncode, 0)
+        p = self.compare(base, cand)
+        self.assertEqual(p.returncode, 1)
+        self.assertIn("t_barrier_ns", p.stderr)
+        shrink = [dict(row("g", "a"), t_barrier_ns=10)]
+        self.assertEqual(self.compare(base, shrink).returncode, 0)
+
+    def test_rows_without_counter_keys_stay_clean(self):
+        # Serving rows carry no counters; both sides read 0.
         p = self.compare([row("g", "a")], [row("g", "a")], "--exact")
         self.assertEqual(p.returncode, 0, p.stderr)
-        # And an adaptive row with explicit zeros matches a key-less one.
+        # And explicit zeros match absent keys.
         p = self.compare([row("g", "a")],
                          [dict(row("g", "a"), replications=0, migrations=0)],
                          "--exact")
         self.assertEqual(p.returncode, 0, p.stderr)
+
+    def test_columns_outside_the_baseline_schema_are_not_gated(self):
+        base = [dict(row("g", "a"), lock_acquires=1)]
+        cand = [dict(row("g", "a"), lock_acquires=9)]
+        p = self.compare(base, cand, "--exact")
+        self.assertEqual(p.returncode, 0, p.stderr)
+        # A column only the candidate declares is not compared either (the
+        # baseline's schema gates), though --exact fails on the mismatch.
+        grown = SCHEMA + [col("lock_acquires", "count", "exact")]
+        p = self.compare(base, cand, cand_schema=grown)
+        self.assertEqual(p.returncode, 0, p.stderr)
+        self.assertNotIn("lock_acquires +", p.stdout)
+
+    def test_schema_mismatch_fails_exact_only(self):
+        rows = [row("g", "a")]
+        added = SCHEMA + [col("lock_acquires", "count", "exact")]
+        regated = [dict(c, gate="lower") if c["name"] == "read_faults" else c
+                   for c in SCHEMA]
+        for cand_schema, what in ((added, "added"), (SCHEMA[:-1], "removed"),
+                                  (regated, "changed")):
+            p = self.compare(rows, rows, "--exact", cand_schema=cand_schema)
+            self.assertEqual(p.returncode, 1)
+            self.assertIn("schema", p.stderr)
+            self.assertIn(what, p.stderr)
+            p = self.compare(rows, rows, cand_schema=cand_schema)
+            self.assertEqual(p.returncode, 0, p.stderr)
+        # Column order does not matter.
+        p = self.compare(rows, rows, "--exact", cand_schema=SCHEMA[::-1])
+        self.assertEqual(p.returncode, 0, p.stderr)
+
+    def test_missing_schema_exits_2(self):
+        ok = self.doc("ok.json", [row("g", "a")])
+        bare = self.write("bare.json", {"rows": [row("g", "a")]})
+        for order in ((bare, ok), (ok, bare)):
+            for flags in ([], ["--exact"]):
+                p = self.run_compare(*order, *flags)
+                self.assertEqual(p.returncode, 2)
+                self.assertIn("schema", p.stderr)
+
+    def test_unknown_gate_exits_2(self):
+        rows = [row("g", "a")]
+        schema = SCHEMA + [col("lock_acquires", "count", "sideways")]
+        p = self.compare(rows, rows, base_schema=schema, cand_schema=schema)
+        self.assertEqual(p.returncode, 2)
+        self.assertIn("sideways", p.stderr)
+
+    def test_report_lists_only_the_columns_that_moved(self):
+        p = self.compare([row("g", "a"), row("g", "b")],
+                         [row("g", "a", messages=150), row("g", "b")])
+        self.assertIn("g / a: messages +50.0%", p.stdout)
+        self.assertNotIn("seconds", p.stdout)
+        self.assertIn("g / b: unchanged", p.stdout)
 
     # --- row-set changes ----------------------------------------------------
 
@@ -221,13 +312,13 @@ class CompareBenchTest(unittest.TestCase):
     # --- crash-vs-regression exit codes -------------------------------------
 
     def test_missing_file_exits_2(self):
-        ok = self.write("ok.json", {"rows": [row("g", "a")]})
+        ok = self.doc("ok.json", [row("g", "a")])
         p = self.run_compare(ok, os.path.join(self._dir.name, "absent.json"))
         self.assertEqual(p.returncode, 2)
         self.assertIn("cannot read", p.stderr)
 
     def test_bad_json_exits_2(self):
-        ok = self.write("ok.json", {"rows": [row("g", "a")]})
+        ok = self.doc("ok.json", [row("g", "a")])
         bad = self.write("bad.json", "{not json")
         for order in ((bad, ok), (ok, bad)):
             p = self.run_compare(*order)
@@ -235,9 +326,9 @@ class CompareBenchTest(unittest.TestCase):
             self.assertIn("invalid JSON", p.stderr)
 
     def test_malformed_rows_exit_2(self):
-        ok = self.write("ok.json", {"rows": [row("g", "a")]})
+        ok = self.doc("ok.json", [row("g", "a")])
         # Rows missing the (group, variant) identity cannot be matched.
-        bad = self.write("noid.json", {"rows": [{"seconds": 1.0}]})
+        bad = self.doc("noid.json", [{"seconds": 1.0}])
         p = self.run_compare(ok, bad)
         self.assertEqual(p.returncode, 2)
 
@@ -245,11 +336,11 @@ class CompareBenchTest(unittest.TestCase):
         # A null or string metric crashes the arithmetic mid-comparison;
         # that must surface as a crashed gate (2), which the CI advisory
         # pass does NOT tolerate, never as a tolerable regression (1).
-        ok = self.write("ok.json", {"rows": [row("g", "a")]})
+        ok = self.doc("ok.json", [row("g", "a")])
         for value in (None, "lots"):
             broken = dict(row("g", "a"))
             broken["messages"] = value
-            bad = self.write("bad_metric.json", {"rows": [broken]})
+            bad = self.doc("bad_metric.json", [broken])
             p = self.run_compare(ok, bad)
             self.assertEqual(p.returncode, 2, p.stderr)
             self.assertIn("malformed", p.stderr)

@@ -39,6 +39,7 @@
 
 #include "src/api/backend.hpp"
 #include "src/common/assert.hpp"
+#include "src/common/stats.hpp"
 #include "src/common/types.hpp"
 #include "src/common/vec.hpp"
 #include "src/partition/partition.hpp"
@@ -354,31 +355,6 @@ struct KernelSpec {
   }
 };
 
-/// TreadMarks-side protocol counters surfaced for tests and ablations
-/// (zero for the CHAOS backend).  Counted over the timed steps only.
-struct TmkCounters {
-  std::uint64_t validate_calls = 0;
-  std::uint64_t validate_recomputes = 0;  ///< Read_indices executions
-  std::uint64_t read_faults = 0;
-  std::uint64_t pages_prefetched = 0;
-  std::uint64_t twins_created = 0;
-  std::uint64_t whole_pages = 0;
-  std::uint64_t diff_bytes = 0;
-  std::uint64_t cross_prefetch_posts = 0;  ///< barrier-exit prefetches posted
-  /// Every posted prefetch is accounted for exactly once:
-  /// posts == consumes (completed at first use) + drains (completed at
-  /// backend teardown after an early exit left one in flight).
-  std::uint64_t cross_prefetch_consumes = 0;
-  std::uint64_t cross_prefetch_drains = 0;
-  /// Adaptive coherence decisions (src/coherence/); all zero under the
-  /// static policy.  Migrations are counted on every node (the directory
-  /// update is node-local), so the figure scales with nprocs in both
-  /// deploy modes alike.
-  std::uint64_t replications = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t ghost_promotions = 0;
-};
-
 /// Result of one kernel execution, uniform across backends.
 struct KernelResult {
   Backend backend = Backend::kChaos;
@@ -414,7 +390,9 @@ struct KernelResult {
   /// not).  The serial schedule pays nprocs reduction rounds plus the step
   /// barrier; the tournament schedule ceil(log2(contributors)) rounds.
   double barriers_per_step = 0;
-  TmkCounters tmk;
+  /// DSM protocol counters over the timed steps (every counter in
+  /// SDSM_DSM_COUNTERS, timers included); all zero on CHAOS.
+  DsmStats::Snapshot tmk;
 };
 
 /// Owner of global element g under a contiguous partition (binary search).

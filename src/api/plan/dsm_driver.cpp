@@ -259,7 +259,7 @@ KernelResult run_strategies(
                             rt.num_local_nodes() /
                             static_cast<double>(res.steps_run);
   }
-  res.tmk = counters_from(timed);
+  res.tmk = timed;
   return res;
 }
 

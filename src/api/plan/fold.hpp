@@ -1,4 +1,5 @@
-// One copy of the counter/checksum fold.
+// One copy of the checksum fold.  (Protocol counters fold through
+// DsmStats::Snapshot's operator+=.)
 //
 // Three call sites used to carry their own: the two backend monoliths
 // folded per-node partials into a KernelResult, and the multi-process
@@ -14,7 +15,6 @@
 #include <span>
 
 #include "src/api/kernel.hpp"
-#include "src/common/stats.hpp"
 
 namespace sdsm::api::plan {
 
@@ -36,44 +36,6 @@ inline void fold_accounts(KernelResult& res,
     res.refs += a.refs;
     res.max_row = std::max(res.max_row, a.max_row);
   }
-}
-
-/// The timed-window protocol counters a DSM-substrate run reports, copied
-/// out of a stats delta.
-inline TmkCounters counters_from(const DsmStats::Snapshot& timed) {
-  TmkCounters c;
-  c.validate_calls = timed.validate_calls;
-  c.validate_recomputes = timed.validate_recomputes;
-  c.read_faults = timed.read_faults;
-  c.pages_prefetched = timed.pages_prefetched;
-  c.twins_created = timed.twins_created;
-  c.whole_pages = timed.whole_pages;
-  c.diff_bytes = timed.diff_bytes;
-  c.cross_prefetch_posts = timed.cross_prefetch_posts;
-  c.cross_prefetch_consumes = timed.cross_prefetch_consumes;
-  c.cross_prefetch_drains = timed.cross_prefetch_drains;
-  c.replications = timed.replications;
-  c.migrations = timed.migrations;
-  c.ghost_promotions = timed.ghost_promotions;
-  return c;
-}
-
-/// Adds `b`'s protocol counters into `a` — the cross-worker half of the
-/// fold (process mode: each worker's snapshot covers only its own nodes).
-inline void add_counters(TmkCounters& a, const TmkCounters& b) {
-  a.validate_calls += b.validate_calls;
-  a.validate_recomputes += b.validate_recomputes;
-  a.read_faults += b.read_faults;
-  a.pages_prefetched += b.pages_prefetched;
-  a.twins_created += b.twins_created;
-  a.whole_pages += b.whole_pages;
-  a.diff_bytes += b.diff_bytes;
-  a.cross_prefetch_posts += b.cross_prefetch_posts;
-  a.cross_prefetch_consumes += b.cross_prefetch_consumes;
-  a.cross_prefetch_drains += b.cross_prefetch_drains;
-  a.replications += b.replications;
-  a.migrations += b.migrations;
-  a.ghost_promotions += b.ghost_promotions;
 }
 
 }  // namespace sdsm::api::plan

@@ -31,8 +31,7 @@ KernelResult run_msg(chaos::ChaosRuntime& rt, const KernelSpec<T>& spec,
   };
   Totals start, end;
   const auto take = [&rt](Totals& t) {
-    t = {rt.total_messages(),
-         static_cast<std::uint64_t>(rt.total_megabytes() * 1e6),
+    t = {rt.total_messages(), rt.network().stats().bytes(),
          rt.total_barriers()};
   };
 

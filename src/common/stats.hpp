@@ -1,4 +1,4 @@
-// Run statistics gathered by the DSM runtime and the network fabric.
+// Run statistics gathered by the DSM runtime.
 //
 // Counters are plain atomics: they are bumped from compute threads, service
 // threads, and SIGSEGV handlers, so they must be lock-free and
@@ -7,7 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace sdsm {
 
@@ -22,212 +22,122 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Communication + protocol statistics for one run.  Mirrors the metrics the
-/// paper reports in Tables 1 and 2 (messages, data volume) plus protocol
-/// internals used by the ablation benches.
+// The DSM protocol counters, declared once: X(name, unit, gate).  The list
+// generates DsmStats's atomic fields, its Snapshot's plain fields, and
+// kDsmCounters, which everything downstream loops over (snapshot arithmetic,
+// the worker report codec, the bench JSON columns and their schema).  A new
+// counter is one line here plus its bump site.
+//
+//   unit  count | B | ns
+//   gate  how bench/compare_bench.py treats the column: `exact` counts must
+//         match to the digit under --exact; `lower` timers are
+//         direction-aware in the plain pass and ignored by --exact.
+//
+// Timers are wall ns summed over nodes.  Network traffic is not here:
+// net::NetStats counts every message and byte on the fabric.
+#define SDSM_DSM_COUNTERS(X)                                                  \
+  X(read_faults, count, exact)       /* SIGSEGV-driven page fetches */        \
+  X(write_faults, count, exact)      /* SIGSEGV-driven twin creations */      \
+  X(diffs_created, count, exact)                                              \
+  X(diffs_applied, count, exact)                                              \
+  X(diff_bytes, B, exact)            /* bytes of encoded diffs shipped */     \
+  X(whole_pages, count, exact)       /* WRITE_ALL pages shipped whole */      \
+  X(twins_created, count, exact)                                              \
+  X(pages_invalidated, count, exact)                                          \
+  X(validate_calls, count, exact)                                             \
+  X(validate_recomputes, count, exact) /* Read_indices executions */          \
+  X(pages_prefetched, count, exact)  /* fetched via Validate aggregation */   \
+  X(cross_prefetch_posts, count, exact) /* posted at sync exit */             \
+  X(cross_prefetch_pages, count, exact) /* pages those posts requested */     \
+  /* Every post ends as exactly one consume (completed at first use: */       \
+  /* validate, fault or sync op) or one drain (completed at teardown */       \
+  /* after an early exit left it in flight): posts == consumes + drains. */   \
+  X(cross_prefetch_consumes, count, exact)                                    \
+  X(cross_prefetch_drains, count, exact)                                      \
+  X(mprotect_calls, count, exact)    /* syscalls after batching */            \
+  X(lock_acquires, count, exact)                                              \
+  X(barriers, count, exact)          /* one per node per barrier */           \
+  X(gc_runs, count, exact)           /* diff-store collections completed */   \
+  X(gc_pages_flushed, count, exact)  /* pages force-fetched by GC flushes */  \
+  /* Adaptive coherence (src/coherence/): all zero under the static */        \
+  /* policy.  Migrations are counted on every node. */                        \
+  X(replications, count, exact)      /* inline whole-update pushes */         \
+  X(migrations, count, exact)        /* directory ownership transfers */      \
+  X(ghost_promotions, count, exact)  /* schedules promoted to ghost zones */  \
+  X(scan_ns, ns, lower)              /* inside Read_indices */                \
+  X(t_barrier_ns, ns, lower)         /* barrier(): close + trip + apply */    \
+  X(t_fetch_ns, ns, lower)           /* fetch_pages(): plan + wait + apply */ \
+  X(t_close_ns, ns, lower)           /* close_interval() */                   \
+  X(t_metas_ns, ns, lower)           /* process_metas() */                    \
+  X(t_wait_ns, ns, lower)            /* fetch_pages(): blocked on replies */  \
+  X(diff_create_ns, ns, lower)       /* twin-vs-page scans */                 \
+  X(diff_apply_ns, ns, lower)        /* Diff::apply loops */
+
+/// Protocol statistics for one runtime: the faults, diffs and Validate
+/// calls behind the paper's Tables 1 and 2, plus phase timers.
 struct DsmStats {
-  Counter messages;        ///< every request and every reply, as in the paper
-  Counter bytes;           ///< payload bytes carried by those messages
-  Counter read_faults;     ///< SIGSEGV-driven page fetches
-  Counter write_faults;    ///< SIGSEGV-driven twin creations
-  Counter diffs_created;
-  Counter diffs_applied;
-  Counter diff_bytes;      ///< bytes of encoded diffs shipped
-  Counter whole_pages;     ///< WRITE_ALL pages shipped whole
-  Counter twins_created;
-  Counter pages_invalidated;
-  Counter validate_calls;
-  Counter validate_recomputes;  ///< Read_indices executions (indirection changed)
-  Counter pages_prefetched;     ///< pages fetched through Validate aggregation
-  Counter cross_prefetch_posts;  ///< cross-step prefetches posted at sync exit
-  Counter cross_prefetch_pages;  ///< pages those prefetches requested
-  /// Prefetch lifecycle closure: every post ends as exactly one consume
-  /// (completed at first use — validate, fault, or sync op) or one drain
-  /// (completed at teardown because an early exit — rebuild_when /
-  /// convergence ending the step loop between a barrier exit and the next
-  /// validate — left it in flight).  posts == consumes + drains.
-  Counter cross_prefetch_consumes;
-  Counter cross_prefetch_drains;
-  Counter scan_ns;              ///< wall time spent inside Read_indices
-  Counter mprotect_calls;       ///< actual mprotect syscalls after batching
-  Counter lock_acquires;
-  Counter barriers;
-  Counter gc_runs;           ///< diff-store garbage collections completed
-  Counter gc_pages_flushed;  ///< pages force-fetched by GC flush rounds
-
-  // Adaptive coherence (src/coherence/); all zero under the static policy.
-  Counter replications;      ///< inline whole-update pushes by page owners
-  Counter migrations;        ///< directory ownership transfers (all nodes)
-  Counter ghost_promotions;  ///< schedules promoted to ghost zones
-
-  // Phase timers (wall ns summed over nodes): protocol cost breakdown.
-  Counter t_barrier_ns;    ///< inside barrier(): close + round trip + apply
-  Counter t_fetch_ns;      ///< inside fetch_pages(): plan + wait + apply
-  Counter t_close_ns;      ///< inside close_interval()
-  Counter t_metas_ns;      ///< inside process_metas()
-  Counter t_wait_ns;       ///< inside fetch_pages(): blocked on replies
-  Counter diff_create_ns;  ///< twin-vs-page scans (Diff::create/whole)
-  Counter diff_apply_ns;   ///< Diff::apply loops (fetch replies + inline)
+#define SDSM_STATS_FIELD(name, unit, gate) Counter name;
+  SDSM_DSM_COUNTERS(SDSM_STATS_FIELD)
+#undef SDSM_STATS_FIELD
 
   /// Point-in-time copy of every counter.  Subtracting two snapshots scopes
   /// the stats to the interval between them, so a long-lived runtime (the
   /// serving layer) can attribute protocol work to individual jobs without
-  /// destroying process-lifetime totals the way reset() does.
+  /// destroying process-lifetime totals the way reset() does; adding them
+  /// folds per-worker windows into one job.
   struct Snapshot {
-    std::uint64_t messages = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t read_faults = 0;
-    std::uint64_t write_faults = 0;
-    std::uint64_t diffs_created = 0;
-    std::uint64_t diffs_applied = 0;
-    std::uint64_t diff_bytes = 0;
-    std::uint64_t whole_pages = 0;
-    std::uint64_t twins_created = 0;
-    std::uint64_t pages_invalidated = 0;
-    std::uint64_t validate_calls = 0;
-    std::uint64_t validate_recomputes = 0;
-    std::uint64_t pages_prefetched = 0;
-    std::uint64_t cross_prefetch_posts = 0;
-    std::uint64_t cross_prefetch_pages = 0;
-    std::uint64_t cross_prefetch_consumes = 0;
-    std::uint64_t cross_prefetch_drains = 0;
-    std::uint64_t scan_ns = 0;
-    std::uint64_t mprotect_calls = 0;
-    std::uint64_t lock_acquires = 0;
-    std::uint64_t barriers = 0;
-    std::uint64_t gc_runs = 0;
-    std::uint64_t gc_pages_flushed = 0;
-    std::uint64_t replications = 0;
-    std::uint64_t migrations = 0;
-    std::uint64_t ghost_promotions = 0;
-    std::uint64_t t_barrier_ns = 0;
-    std::uint64_t t_fetch_ns = 0;
-    std::uint64_t t_close_ns = 0;
-    std::uint64_t t_metas_ns = 0;
-    std::uint64_t t_wait_ns = 0;
-    std::uint64_t diff_create_ns = 0;
-    std::uint64_t diff_apply_ns = 0;
+#define SDSM_SNAPSHOT_FIELD(name, unit, gate) std::uint64_t name = 0;
+    SDSM_DSM_COUNTERS(SDSM_SNAPSHOT_FIELD)
+#undef SDSM_SNAPSHOT_FIELD
 
-    Snapshot operator-(const Snapshot& rhs) const {
-      Snapshot d;
-      d.messages = messages - rhs.messages;
-      d.bytes = bytes - rhs.bytes;
-      d.read_faults = read_faults - rhs.read_faults;
-      d.write_faults = write_faults - rhs.write_faults;
-      d.diffs_created = diffs_created - rhs.diffs_created;
-      d.diffs_applied = diffs_applied - rhs.diffs_applied;
-      d.diff_bytes = diff_bytes - rhs.diff_bytes;
-      d.whole_pages = whole_pages - rhs.whole_pages;
-      d.twins_created = twins_created - rhs.twins_created;
-      d.pages_invalidated = pages_invalidated - rhs.pages_invalidated;
-      d.validate_calls = validate_calls - rhs.validate_calls;
-      d.validate_recomputes = validate_recomputes - rhs.validate_recomputes;
-      d.pages_prefetched = pages_prefetched - rhs.pages_prefetched;
-      d.cross_prefetch_posts = cross_prefetch_posts - rhs.cross_prefetch_posts;
-      d.cross_prefetch_pages = cross_prefetch_pages - rhs.cross_prefetch_pages;
-      d.cross_prefetch_consumes =
-          cross_prefetch_consumes - rhs.cross_prefetch_consumes;
-      d.cross_prefetch_drains =
-          cross_prefetch_drains - rhs.cross_prefetch_drains;
-      d.scan_ns = scan_ns - rhs.scan_ns;
-      d.mprotect_calls = mprotect_calls - rhs.mprotect_calls;
-      d.lock_acquires = lock_acquires - rhs.lock_acquires;
-      d.barriers = barriers - rhs.barriers;
-      d.gc_runs = gc_runs - rhs.gc_runs;
-      d.gc_pages_flushed = gc_pages_flushed - rhs.gc_pages_flushed;
-      d.replications = replications - rhs.replications;
-      d.migrations = migrations - rhs.migrations;
-      d.ghost_promotions = ghost_promotions - rhs.ghost_promotions;
-      d.t_barrier_ns = t_barrier_ns - rhs.t_barrier_ns;
-      d.t_fetch_ns = t_fetch_ns - rhs.t_fetch_ns;
-      d.t_close_ns = t_close_ns - rhs.t_close_ns;
-      d.t_metas_ns = t_metas_ns - rhs.t_metas_ns;
-      d.t_wait_ns = t_wait_ns - rhs.t_wait_ns;
-      d.diff_create_ns = diff_create_ns - rhs.diff_create_ns;
-      d.diff_apply_ns = diff_apply_ns - rhs.diff_apply_ns;
-      return d;
-    }
-
-    double megabytes() const { return static_cast<double>(bytes) / 1e6; }
+    Snapshot& operator+=(const Snapshot& rhs);
+    Snapshot operator-(const Snapshot& rhs) const;
   };
 
   /// Only meaningful at quiescent points (no node thread mid-operation).
-  Snapshot snapshot() const {
-    Snapshot s;
-    s.messages = messages.get();
-    s.bytes = bytes.get();
-    s.read_faults = read_faults.get();
-    s.write_faults = write_faults.get();
-    s.diffs_created = diffs_created.get();
-    s.diffs_applied = diffs_applied.get();
-    s.diff_bytes = diff_bytes.get();
-    s.whole_pages = whole_pages.get();
-    s.twins_created = twins_created.get();
-    s.pages_invalidated = pages_invalidated.get();
-    s.validate_calls = validate_calls.get();
-    s.validate_recomputes = validate_recomputes.get();
-    s.pages_prefetched = pages_prefetched.get();
-    s.cross_prefetch_posts = cross_prefetch_posts.get();
-    s.cross_prefetch_pages = cross_prefetch_pages.get();
-    s.cross_prefetch_consumes = cross_prefetch_consumes.get();
-    s.cross_prefetch_drains = cross_prefetch_drains.get();
-    s.scan_ns = scan_ns.get();
-    s.mprotect_calls = mprotect_calls.get();
-    s.lock_acquires = lock_acquires.get();
-    s.barriers = barriers.get();
-    s.gc_runs = gc_runs.get();
-    s.gc_pages_flushed = gc_pages_flushed.get();
-    s.replications = replications.get();
-    s.migrations = migrations.get();
-    s.ghost_promotions = ghost_promotions.get();
-    s.t_barrier_ns = t_barrier_ns.get();
-    s.t_fetch_ns = t_fetch_ns.get();
-    s.t_close_ns = t_close_ns.get();
-    s.t_metas_ns = t_metas_ns.get();
-    s.t_wait_ns = t_wait_ns.get();
-    s.diff_create_ns = diff_create_ns.get();
-    s.diff_apply_ns = diff_apply_ns.get();
-    return s;
-  }
-
-  void reset() {
-    messages.reset();
-    bytes.reset();
-    read_faults.reset();
-    write_faults.reset();
-    diffs_created.reset();
-    diffs_applied.reset();
-    diff_bytes.reset();
-    whole_pages.reset();
-    twins_created.reset();
-    pages_invalidated.reset();
-    validate_calls.reset();
-    validate_recomputes.reset();
-    pages_prefetched.reset();
-    cross_prefetch_posts.reset();
-    cross_prefetch_pages.reset();
-    cross_prefetch_consumes.reset();
-    cross_prefetch_drains.reset();
-    scan_ns.reset();
-    mprotect_calls.reset();
-    t_barrier_ns.reset();
-    t_fetch_ns.reset();
-    t_close_ns.reset();
-    t_metas_ns.reset();
-    t_wait_ns.reset();
-    diff_create_ns.reset();
-    diff_apply_ns.reset();
-    lock_acquires.reset();
-    barriers.reset();
-    gc_runs.reset();
-    gc_pages_flushed.reset();
-    replications.reset();
-    migrations.reset();
-    ghost_promotions.reset();
-  }
-
-  std::string summary() const;
-  double megabytes() const { return static_cast<double>(bytes.get()) / 1e6; }
+  Snapshot snapshot() const;
+  void reset();
 };
+
+/// One entry of SDSM_DSM_COUNTERS, with where it lives in both structs.
+struct DsmCounter {
+  std::string_view name;
+  std::string_view unit;
+  std::string_view gate;  ///< "exact" | "lower"
+  Counter DsmStats::*live;
+  std::uint64_t DsmStats::Snapshot::*value;
+};
+
+inline constexpr DsmCounter kDsmCounters[] = {
+#define SDSM_COUNTER_ENTRY(name, unit, gate) \
+  {#name, #unit, #gate, &DsmStats::name, &DsmStats::Snapshot::name},
+    SDSM_DSM_COUNTERS(SDSM_COUNTER_ENTRY)
+#undef SDSM_COUNTER_ENTRY
+};
+
+inline DsmStats::Snapshot& DsmStats::Snapshot::operator+=(
+    const Snapshot& rhs) {
+  for (const DsmCounter& c : kDsmCounters) this->*c.value += rhs.*c.value;
+  return *this;
+}
+
+inline DsmStats::Snapshot DsmStats::Snapshot::operator-(
+    const Snapshot& rhs) const {
+  Snapshot d;
+  for (const DsmCounter& c : kDsmCounters) {
+    d.*c.value = this->*c.value - rhs.*c.value;
+  }
+  return d;
+}
+
+inline DsmStats::Snapshot DsmStats::snapshot() const {
+  Snapshot s;
+  for (const DsmCounter& c : kDsmCounters) s.*c.value = (this->*c.live).get();
+  return s;
+}
+
+inline void DsmStats::reset() {
+  for (const DsmCounter& c : kDsmCounters) (this->*c.live).reset();
+}
 
 }  // namespace sdsm

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <iomanip>
 #include <ostream>
+#include <string_view>
 
 namespace sdsm::harness {
 
@@ -32,6 +33,24 @@ void json_string(std::ostream& os, const std::string& s) {
   }
   os << '"';
 }
+
+/// The gated row-level columns, in the schema's order; the DSM counters
+/// follow them from kDsmCounters.  Gate classes as in stats.hpp, plus
+/// `higher` for a direction-aware column whose drop is the regression.
+struct RowColumn {
+  std::string_view name, unit, gate;
+};
+constexpr RowColumn kRowColumns[] = {
+    {"seconds", "s", "lower"},
+    {"messages", "count", "exact"},
+    {"megabytes", "MB", "exact"},
+    {"barriers_per_step", "count", "exact"},
+    {"rebuilds", "count", "exact"},
+    {"jobs_per_sec", "1/s", "higher"},
+    {"cache_hits", "count", "exact"},
+    {"diff_create_seconds", "s", "lower"},
+    {"diff_apply_seconds", "s", "lower"},
+};
 
 }  // namespace
 
@@ -68,30 +87,20 @@ void Table::print(std::ostream& os) const {
   os << "\n";
 }
 
-void Table::print_csv(std::ostream& os) const {
-  os << "# csv: group,variant,seconds,speedup,seq_seconds,messages,"
-        "megabytes,overhead_seconds,diff_create_seconds,diff_apply_seconds,"
-        "refs,max_row,schedule,barriers_per_step,"
-        "rebuilds,jobs_per_sec,cache_hits\n";
-  for (const Row& r : rows_) {
-    os << "# csv: " << r.group << ',' << r.variant << ',' << std::fixed
-       << std::setprecision(6) << r.seconds << ',' << std::setprecision(3)
-       << r.speedup << ',' << std::setprecision(6) << r.seq_seconds << ','
-       << r.messages << ',' << std::setprecision(3) << r.megabytes << ','
-       << std::setprecision(6) << r.overhead_seconds << ','
-       << r.diff_create_seconds << ',' << r.diff_apply_seconds << ','
-       << r.refs << ','
-       << r.max_row << ',' << r.schedule << ',' << std::setprecision(3)
-       << r.barriers_per_step << ',' << r.rebuilds << ','
-       << std::setprecision(3) << r.jobs_per_sec << ',' << r.cache_hits
-       << "\n";
-  }
-}
-
 void Table::print_json(std::ostream& os) const {
   os << "{\n  \"title\": ";
   json_string(os, title_);
-  os << ",\n  \"rows\": [";
+  os << ",\n  \"schema\": [";
+  const char* sep = "\n";
+  const auto schema_entry = [&](std::string_view name, std::string_view unit,
+                                std::string_view gate) {
+    os << sep << "    {\"name\": \"" << name << "\", \"unit\": \"" << unit
+       << "\", \"gate\": \"" << gate << "\"}";
+    sep = ",\n";
+  };
+  for (const RowColumn& c : kRowColumns) schema_entry(c.name, c.unit, c.gate);
+  for (const DsmCounter& c : kDsmCounters) schema_entry(c.name, c.unit, c.gate);
+  os << "\n  ],\n  \"rows\": [";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     const Row& r = rows_[i];
     os << (i == 0 ? "\n" : ",\n") << "    {\"group\": ";
@@ -113,9 +122,10 @@ void Table::print_json(std::ostream& os) const {
        << r.barriers_per_step << ", \"rebuilds\": " << r.rebuilds
        << ", \"jobs_per_sec\": " << std::setprecision(3) << r.jobs_per_sec
        << ", \"cache_hits\": " << r.cache_hits;
-    if (r.coherence_cols) {
-      os << ", \"replications\": " << r.replications << ", \"migrations\": "
-         << r.migrations << ", \"ghost_promotions\": " << r.ghost_promotions;
+    if (r.tmk) {
+      for (const DsmCounter& c : kDsmCounters) {
+        os << ", \"" << c.name << "\": " << (*r.tmk).*c.value;
+      }
     }
     os << ", \"note\": ";
     json_string(os, r.note);

@@ -1,14 +1,16 @@
 // Experiment harness: runs application variants and prints rows shaped like
-// the paper's Tables 1 and 2 (time, speedup, messages, data volume), plus
-// machine-readable forms: a CSV line per row for EXPERIMENTS.md bookkeeping
-// and a JSON document (write_json) so successive PRs can diff benchmark
-// trajectories mechanically.
+// the paper's Tables 1 and 2 (time, speedup, messages, data volume), plus a
+// machine-readable JSON document (write_json) so successive changes can diff
+// benchmark trajectories mechanically.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "src/common/stats.hpp"
 
 namespace sdsm::harness {
 
@@ -48,28 +50,23 @@ struct Row {
   std::int64_t rebuilds = 0;
   /// Serving-layer throughput: completed jobs per wall-clock second over
   /// the row's job stream.  Zero for non-serving rows (omitted from the
-  /// printed table; JSON/CSV carry it).  Appended after `rebuilds` so
+  /// printed table; the JSON carries it).  Appended after `rebuilds` so
   /// existing positional initializers stay valid.
   double jobs_per_sec = 0;
   /// Schedule-cache hits the row's job stream scored (serving rows only).
   /// Deterministic when the stream runs on one worker, so it is an exact
   /// gate column like messages.
   std::int64_t cache_hits = 0;
-  /// Adaptive-coherence decision counters (exact-gate columns).  Emitted
-  /// in JSON/CSV only when `coherence_cols` is set, so every pre-existing
-  /// static row stays byte-identical.  Appended after `cache_hits` so
-  /// existing positional initializers stay valid.
-  bool coherence_cols = false;
-  std::uint64_t replications = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t ghost_promotions = 0;
   /// Per-node wall time in the diff hot paths (Tmk rows; zero on CHAOS and
   /// non-kernel rows): twin-vs-page scans and Diff::apply loops.  The
   /// columns the --diff-engine A/B moves — its traffic is byte-identical
-  /// by construction.  Appended after the coherence counters so existing
-  /// positional initializers stay valid.
+  /// by construction.
   double diff_create_seconds = 0;
   double diff_apply_seconds = 0;
+  /// The DSM protocol counters of a row built from a KernelResult (all
+  /// zero on CHAOS); every counter becomes a JSON column.  Empty on rows
+  /// that are not kernel runs (serving, fault latency), which emit none.
+  std::optional<DsmStats::Snapshot> tmk = std::nullopt;
 };
 
 class Table {
@@ -82,10 +79,9 @@ class Table {
   /// Paper-style fixed-width table.
   void print(std::ostream& os) const;
 
-  /// One CSV line per row (header first), for scripting.
-  void print_csv(std::ostream& os) const;
-
-  /// The table as a JSON document: {"title": ..., "rows": [{...}, ...]}.
+  /// The table as a JSON document: {"title": ..., "schema": [...],
+  /// "rows": [{...}, ...]}.  The schema lists every gated column as
+  /// {name, unit, gate}: the row-level ones, then the DSM counters.
   void print_json(std::ostream& os) const;
 
   /// Writes print_json() to `path` (e.g. BENCH_api.json).  Returns false

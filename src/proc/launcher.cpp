@@ -311,7 +311,7 @@ LaunchResult run_job(const serve::JobRequest& req, const LaunchOptions& opt) {
       agg.seconds = std::max(agg.seconds, k.seconds);
       agg.messages += k.messages;
       agg.bytes += k.bytes;
-      api::plan::add_counters(agg.tmk, k.tmk);
+      agg.tmk += k.tmk;
     }
   }
   api::plan::fold_accounts(agg, accounts);

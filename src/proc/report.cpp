@@ -6,7 +6,7 @@ namespace sdsm::proc {
 
 namespace {
 constexpr std::uint32_t kReportMagic = 0x5DD50010;
-constexpr std::uint32_t kReportVersion = 2;
+constexpr std::uint32_t kReportVersion = 3;
 }  // namespace
 
 void encode(Writer& w, const WorkerReport& r) {
@@ -30,19 +30,7 @@ void encode(Writer& w, const WorkerReport& r) {
   w.put(k.refs);
   w.put(k.max_row);
   w.put(k.barriers_per_step);
-  w.put(k.tmk.validate_calls);
-  w.put(k.tmk.validate_recomputes);
-  w.put(k.tmk.read_faults);
-  w.put(k.tmk.pages_prefetched);
-  w.put(k.tmk.twins_created);
-  w.put(k.tmk.whole_pages);
-  w.put(k.tmk.diff_bytes);
-  w.put(k.tmk.cross_prefetch_posts);
-  w.put(k.tmk.cross_prefetch_consumes);
-  w.put(k.tmk.cross_prefetch_drains);
-  w.put(k.tmk.replications);
-  w.put(k.tmk.migrations);
-  w.put(k.tmk.ghost_promotions);
+  for (const DsmCounter& c : kDsmCounters) w.put(k.tmk.*c.value);
 }
 
 WorkerReport decode_report(Reader& r) {
@@ -68,19 +56,9 @@ WorkerReport decode_report(Reader& r) {
   k.refs = r.get<std::uint64_t>();
   k.max_row = r.get<std::uint64_t>();
   k.barriers_per_step = r.get<double>();
-  k.tmk.validate_calls = r.get<std::uint64_t>();
-  k.tmk.validate_recomputes = r.get<std::uint64_t>();
-  k.tmk.read_faults = r.get<std::uint64_t>();
-  k.tmk.pages_prefetched = r.get<std::uint64_t>();
-  k.tmk.twins_created = r.get<std::uint64_t>();
-  k.tmk.whole_pages = r.get<std::uint64_t>();
-  k.tmk.diff_bytes = r.get<std::uint64_t>();
-  k.tmk.cross_prefetch_posts = r.get<std::uint64_t>();
-  k.tmk.cross_prefetch_consumes = r.get<std::uint64_t>();
-  k.tmk.cross_prefetch_drains = r.get<std::uint64_t>();
-  k.tmk.replications = r.get<std::uint64_t>();
-  k.tmk.migrations = r.get<std::uint64_t>();
-  k.tmk.ghost_promotions = r.get<std::uint64_t>();
+  for (const DsmCounter& c : kDsmCounters) {
+    k.tmk.*c.value = r.get<std::uint64_t>();
+  }
   return out;
 }
 

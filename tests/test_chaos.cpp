@@ -5,6 +5,8 @@
 
 #include <numeric>
 
+#include "src/api/chaos_backend.hpp"
+#include "src/apps/quickstart/quickstart.hpp"
 #include "src/chaos/chaos_runtime.hpp"
 #include "src/chaos/executor.hpp"
 #include "src/chaos/inspector.hpp"
@@ -283,6 +285,33 @@ TEST(Executor, OneMessagePerDirectionPerActivePair) {
   };
 
   EXPECT_EQ(run_once(true) - run_once(false), 1u);
+}
+
+TEST(ChaosBackend, WarmRuntimeReportsTheFreshByteCount) {
+  // A job's bytes are the difference of two integer cuts of the fabric
+  // total, so traffic a long-lived runtime carried before the job (a warm
+  // serving engine) cannot leak into it.  Taking the cuts through a
+  // megabytes double truncated this job's 938,752 B to 938,753 B.
+  const apps::quickstart::Params p;
+  const api::KernelSpec<double> spec = apps::quickstart::make_kernel(p);
+  api::ChaosBackend backend(p.nprocs, apps::quickstart::default_options());
+
+  ChaosRuntime fresh(p.nprocs);
+  const api::KernelResult cold = backend.run_on(fresh, spec, nullptr);
+
+  constexpr std::uint64_t kEarlierBytes = 147874;
+  ChaosRuntime warm(p.nprocs);
+  warm.run([](ChaosNode& node) {
+    std::vector<std::vector<std::uint8_t>> out(node.num_nodes());
+    if (node.id() == 0) out[1].resize(kEarlierBytes);
+    node.all_to_all(std::move(out));
+  });
+  ASSERT_EQ(warm.network().stats().bytes(), kEarlierBytes);
+  const api::KernelResult served = backend.run_on(warm, spec, nullptr);
+
+  EXPECT_EQ(served.bytes, cold.bytes);
+  EXPECT_EQ(served.messages, cold.messages);
+  EXPECT_EQ(served.checksum, cold.checksum);
 }
 
 }  // namespace

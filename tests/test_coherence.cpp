@@ -257,21 +257,6 @@ TEST(NoticeCodec, InlineDiffAndCensusSizeRoundTrip) {
   EXPECT_EQ(out.notices[1].diff_bytes, 4096u);
 }
 
-// --- Stats plumbing --------------------------------------------------------
-
-TEST(CoherenceStats, SnapshotDeltasSubtract) {
-  DsmStats stats;
-  stats.replications.add(3);
-  stats.migrations.add(8);
-  const DsmStats::Snapshot before = stats.snapshot();
-  stats.replications.add(2);
-  stats.ghost_promotions.add(5);
-  const DsmStats::Snapshot delta = stats.snapshot() - before;
-  EXPECT_EQ(delta.replications, 2u);
-  EXPECT_EQ(delta.migrations, 0u);
-  EXPECT_EQ(delta.ghost_promotions, 5u);
-}
-
 // --- End to end ------------------------------------------------------------
 
 using apps::checksum_close;

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -166,22 +170,47 @@ TEST(Counter, ConcurrentAdds) {
   EXPECT_EQ(c.get(), 80000u);
 }
 
-TEST(Stats, ResetClearsEverything) {
+TEST(DsmStats, EveryCounterSnapshotsSubtractsAddsAndResets) {
+  // Every counter gets its own value, so an operation that skips an entry
+  // of SDSM_DSM_COUNTERS or crosses two of them shows as a mismatch.
   DsmStats s;
-  s.messages.add(3);
-  s.bytes.add(1000);
-  s.diffs_created.add(2);
+  std::uint64_t i = 0;
+  for (const DsmCounter& c : kDsmCounters) (s.*c.live).add(1000 * ++i);
+  const DsmStats::Snapshot before = s.snapshot();
+  i = 0;
+  for (const DsmCounter& c : kDsmCounters) (s.*c.live).add(++i);
+  const DsmStats::Snapshot after = s.snapshot();
+  const DsmStats::Snapshot delta = after - before;
+  DsmStats::Snapshot sum = before;
+  sum += delta;
   s.reset();
-  EXPECT_EQ(s.messages.get(), 0u);
-  EXPECT_EQ(s.bytes.get(), 0u);
-  EXPECT_EQ(s.diffs_created.get(), 0u);
+  const DsmStats::Snapshot cleared = s.snapshot();
+  i = 0;
+  for (const DsmCounter& c : kDsmCounters) {
+    SCOPED_TRACE(std::string(c.name));
+    ++i;
+    EXPECT_EQ(before.*c.value, 1000 * i);
+    EXPECT_EQ(after.*c.value, 1001 * i);
+    EXPECT_EQ(delta.*c.value, i);
+    EXPECT_EQ(sum.*c.value, after.*c.value);
+    EXPECT_EQ(cleared.*c.value, 0u);
+  }
+  // The named fields are the listed ones.
+  EXPECT_EQ(delta.read_faults, 1u);
+  EXPECT_EQ(after.diff_apply_ns, 1001 * std::size(kDsmCounters));
 }
 
-TEST(Stats, SummaryMentionsCounts) {
-  DsmStats s;
-  s.messages.add(123);
-  const auto text = s.summary();
-  EXPECT_NE(text.find("msgs=123"), std::string::npos);
+TEST(DsmStats, CounterListIsWellFormed) {
+  std::set<std::string_view> names;
+  for (const DsmCounter& c : kDsmCounters) {
+    SCOPED_TRACE(std::string(c.name));
+    EXPECT_TRUE(names.insert(c.name).second) << "duplicate name";
+    // Timers are the *_ns entries: measured in ns and never exact-gated.
+    const bool timer = c.name.ends_with("_ns");
+    EXPECT_EQ(c.unit == "ns", timer);
+    EXPECT_EQ(c.gate, timer ? "lower" : "exact");
+    EXPECT_TRUE(c.unit == "count" || c.unit == "B" || c.unit == "ns");
+  }
 }
 
 TEST(Timer, MeasuresElapsedTime) {

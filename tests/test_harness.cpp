@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/harness/experiment.hpp"
 
@@ -32,19 +33,6 @@ TEST(Harness, TablePrintsAllRowsAndGroupsOnce) {
   EXPECT_EQ(text.find("Every 12 iterations", first + 1), std::string::npos);
 }
 
-TEST(Harness, CsvEmitsOneLinePerRow) {
-  Table t("T");
-  t.add(Row{"g", "v1", 1, 2, 3, 4, 5, ""});
-  t.add(Row{"g", "v2", 1, 2, 3, 4, 5, ""});
-  std::ostringstream os;
-  t.print_csv(os);
-  const std::string text = os.str();
-  int lines = 0;
-  for (const char c : text) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 3);  // header + 2 rows
-  EXPECT_NE(text.find("g,v1"), std::string::npos);
-}
-
 TEST(Harness, JsonEmitsTitleAndOneObjectPerRow) {
   Table t("api bench");
   t.add(Row{"g", "CHAOS", 1.5, 2.0, 10, 0.5, 0.1, "a \"quoted\" note", 0.0,
@@ -67,6 +55,44 @@ TEST(Harness, JsonEmitsTitleAndOneObjectPerRow) {
     ++objects;
   }
   EXPECT_EQ(objects, 2);
+}
+
+TEST(Harness, KernelRowsEmitEveryCounterAndTheSchemaDeclaresIt) {
+  Row r{"g", "Tmk base", 1.0, 1.0, 10, 0.5, 0.0, ""};
+  r.tmk.emplace();
+  std::uint64_t v = 7;
+  for (const DsmCounter& c : kDsmCounters) (*r.tmk).*c.value = v++;
+  Table t("T");
+  t.add(r);
+  t.add(Row{"g", "serve", 1.0, 1.0, 10, 0.5, 0.0, ""});  // no counters
+  std::ostringstream os;
+  t.print_json(os);
+  const std::string text = os.str();
+  const std::size_t rows = text.find("\"rows\"");
+  ASSERT_NE(rows, std::string::npos);
+  const std::string schema = text.substr(0, rows);
+  const std::size_t first_row = text.find("{\"group\"", rows);
+  const std::size_t second_row = text.find("{\"group\"", first_row + 1);
+  const std::string kernel_row = text.substr(first_row, second_row - first_row);
+  const std::string plain_row = text.substr(second_row);
+  v = 7;
+  for (const DsmCounter& c : kDsmCounters) {
+    const std::string key = "\"" + std::string(c.name) + "\"";
+    SCOPED_TRACE(key);
+    EXPECT_NE(schema.find("{\"name\": " + key + ", \"unit\": \"" +
+                          std::string(c.unit) + "\", \"gate\": \"" +
+                          std::string(c.gate) + "\"}"),
+              std::string::npos);
+    EXPECT_NE(kernel_row.find(key + ": " + std::to_string(v++) + ","),
+              std::string::npos);
+    // No counter shares a key with a row-level column (the key would be
+    // written twice and the gate would read only one of them).
+    EXPECT_EQ(plain_row.find(key), std::string::npos);
+  }
+  // The row-level gated columns head the schema.
+  EXPECT_NE(schema.find("{\"name\": \"messages\", \"unit\": \"count\", "
+                        "\"gate\": \"exact\"}"),
+            std::string::npos);
 }
 
 }  // namespace

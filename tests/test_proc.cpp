@@ -10,10 +10,13 @@
 // fail the run with an explicit diagnostic instead of hanging ctest.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/api/api.hpp"
 #include "src/proc/proc.hpp"
+#include "src/proc/report.hpp"
 #include "src/serve/workloads.hpp"
 
 namespace sdsm::proc {
@@ -79,6 +82,12 @@ void expect_parity(const serve::JobRequest& req) {
   EXPECT_EQ(lr.result.refs, t.refs);
   EXPECT_EQ(lr.result.max_row, t.max_row);
   EXPECT_EQ(lr.result.backend, t.backend);
+  // Every protocol count, summed over the workers, equals the threaded
+  // run's (the timers are wall time and differ).
+  for (const DsmCounter& c : kDsmCounters) {
+    if (c.gate != "exact") continue;
+    EXPECT_EQ(lr.result.tmk.*c.value, t.tmk.*c.value) << c.name;
+  }
 }
 
 // --- Wire parity: the acceptance contract ----------------------------------
@@ -107,6 +116,59 @@ TEST(ProcParity, QuickstartTmkOptimized) {
   req.backend = api::Backend::kTmkOptimized;
   req.transport = net::TransportKind::kSocket;
   expect_parity(req);
+}
+
+// --- Worker report codec ---------------------------------------------------
+
+TEST(WorkerReport, RoundTripsEveryField) {
+  WorkerReport in;
+  in.node = 3;
+  in.ok = true;
+  api::KernelResult& k = in.result;
+  k.backend = api::Backend::kTmkOptimized;
+  k.checksum = 1.25;
+  k.seconds = 0.5;
+  k.messages = 11;
+  k.megabytes = 0.012;
+  k.bytes = 12000;
+  k.overhead_seconds = 0.25;
+  k.diff_create_seconds = 0.125;
+  k.diff_apply_seconds = 0.0625;
+  k.rebuilds = 2;
+  k.steps_run = 8;
+  k.refs = 4096;
+  k.max_row = 9;
+  k.barriers_per_step = 4.5;
+  std::uint64_t v = 101;
+  for (const DsmCounter& c : kDsmCounters) k.tmk.*c.value = v++;
+
+  Writer w;
+  encode(w, in);
+  const std::vector<std::uint8_t> bytes = w.take();
+  Reader r(bytes);
+  const WorkerReport out = decode_report(r);
+  EXPECT_TRUE(r.done());
+
+  EXPECT_EQ(out.node, in.node);
+  EXPECT_EQ(out.ok, in.ok);
+  const api::KernelResult& o = out.result;
+  EXPECT_EQ(o.backend, k.backend);
+  EXPECT_EQ(o.checksum, k.checksum);
+  EXPECT_EQ(o.seconds, k.seconds);
+  EXPECT_EQ(o.messages, k.messages);
+  EXPECT_EQ(o.megabytes, k.megabytes);
+  EXPECT_EQ(o.bytes, k.bytes);
+  EXPECT_EQ(o.overhead_seconds, k.overhead_seconds);
+  EXPECT_EQ(o.diff_create_seconds, k.diff_create_seconds);
+  EXPECT_EQ(o.diff_apply_seconds, k.diff_apply_seconds);
+  EXPECT_EQ(o.rebuilds, k.rebuilds);
+  EXPECT_EQ(o.steps_run, k.steps_run);
+  EXPECT_EQ(o.refs, k.refs);
+  EXPECT_EQ(o.max_row, k.max_row);
+  EXPECT_EQ(o.barriers_per_step, k.barriers_per_step);
+  for (const DsmCounter& c : kDsmCounters) {
+    EXPECT_EQ(o.tmk.*c.value, k.tmk.*c.value) << c.name;
+  }
 }
 
 // --- Launcher admission ----------------------------------------------------

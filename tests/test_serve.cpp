@@ -574,19 +574,6 @@ TEST(NetStatsSnapshot, DeltaIsolatesAWindow) {
   EXPECT_EQ(stats.bytes(), 175u);
 }
 
-TEST(DsmStatsSnapshot, DeltaIsolatesAWindow) {
-  DsmStats stats;
-  stats.read_faults.add(5);
-  stats.diffs_created.add(2);
-  const DsmStats::Snapshot before = stats.snapshot();
-  stats.read_faults.add(4);
-  stats.diffs_created.add(1);
-  const DsmStats::Snapshot delta = stats.snapshot() - before;
-  EXPECT_EQ(delta.read_faults, 4u);
-  EXPECT_EQ(delta.diffs_created, 1u);
-  EXPECT_EQ(stats.read_faults.get(), 9u);  // untouched by snapshotting
-}
-
 // --- harness::Options ------------------------------------------------------
 
 TEST(HarnessOptions, DefaultsAndRecognizedFlags) {
