@@ -1,4 +1,4 @@
-// Ablations of the design choices DESIGN.md calls out:
+// Ablations of the paper's design choices:
 //
 //  A. Communication aggregation (the contribution itself): messages for a
 //     multi-page working set, demand paging vs Validate (one request pair
@@ -121,7 +121,7 @@ void ablation_false_sharing() {
 }  // namespace
 
 int main() {
-  std::printf("Ablation benches for the DESIGN.md design choices.\n\n");
+  std::printf("Ablation benches for the paper's design choices.\n\n");
   ablation_aggregation();
   ablation_write_all();
   ablation_false_sharing();

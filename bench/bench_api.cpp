@@ -24,10 +24,9 @@
 //
 // `--group=<filter>[,<filter>...]` runs only the groups whose name
 // contains one of the (comma-separated) filters — e.g. `--group=proc`,
-// `--group=fault,serve`, `--group=coherence` (the adaptive-coherence A/B
-// groups), `--group=diff-` (the diff-engine A/B groups), or
-// `--group=bucketed` — so a new group can be exercised in seconds
-// without the full sweep.  A filtered run never writes the bench JSON:
+// `--group=fault,serve`, or `--group=coherence` (the adaptive-coherence
+// A/B groups) — so a new group can be exercised in seconds without the
+// full sweep.  A filtered run never writes the bench JSON:
 // the committed baseline holds every group, and overwriting it with a
 // subset would fail the exact gate on the missing rows.  `--help` lists
 // every flag.
@@ -138,35 +137,6 @@ void add_tournament_rows(
       continue;
     }
     add_row(table, group, b, seq_seconds, seq_checksum, opts, run_one(b, opts));
-  }
-}
-
-/// The diff-engine A/B rows: the identical workload run with the scalar
-/// and word twin-scan engines, one group per engine ("<prefix> diff-scalar"
-/// / "<prefix> diff-word").  Tmk backends only — CHAOS keeps no twins, so
-/// its rows would not move.  Run segmentation is a pure function of the
-/// data, so the encoded bytes — and therefore the messages and megabytes
-/// columns — must match across the two groups EXACTLY (the gate); only
-/// the diff_create_seconds column is allowed to differ.
-void add_diff_engine_rows(
-    harness::Table& table, const std::vector<api::Backend>& backends,
-    const char* group_prefix, double seq_seconds, double seq_checksum,
-    api::BackendOptions opts,
-    const std::function<api::KernelResult(api::Backend,
-                                          const api::BackendOptions&)>& run_one) {
-  for (const core::DiffEngine e :
-       {core::DiffEngine::kScalar, core::DiffEngine::kWord}) {
-    opts.diff_engine = e;
-    const std::string group =
-        std::string(group_prefix) + " diff-" + core::diff_engine_name(e);
-    for (const api::Backend b :
-         {api::Backend::kTmkBase, api::Backend::kTmkOptimized}) {
-      if (std::find(backends.begin(), backends.end(), b) == backends.end()) {
-        continue;
-      }
-      add_row(table, group.c_str(), b, seq_seconds, seq_checksum, opts,
-              run_one(b, opts));
-    }
   }
 }
 
@@ -474,20 +444,10 @@ int main(int argc, char** argv) {
         "      page-coherence policy for binaries that honor it; the bench\n"
         "      runs its own static-vs-adaptive A/B (the \"coherence ...\n"
         "      adaptive\" groups) instead\n"
-        "  --diff-engine=scalar|word\n"
-        "      twin-vs-page scan engine for every non-A/B group (default\n"
-        "      word); encodings are byte-identical either way, so only the\n"
-        "      diff_create_seconds column moves.  The \"... diff-scalar\" /\n"
-        "      \"... diff-word\" groups pin both engines regardless\n"
-        "  --exec=rows|bucketed\n"
-        "      work-item iteration engine for every non-A/B group (default\n"
-        "      rows); the \"... bucketed\" groups pin the bucketed engine\n"
-        "      regardless\n"
         "  --group=<filter>[,<filter>...]\n"
         "      run only the groups whose name contains one of the filters,\n"
         "      e.g. --group=proc, --group=fault,serve, --group=coherence\n"
-        "      (the adaptive-coherence A/B groups), --group=diff- (the\n"
-        "      diff-engine A/B groups), --group=bucketed, or --group=hybrid\n"
+        "      (the adaptive-coherence A/B groups), or --group=hybrid\n"
         "      (the mixed-assignment hybrid-backend groups).  A filtered\n"
         "      run never rewrites the bench JSON: the committed baseline\n"
         "      holds every group, and a subset would fail the exact gate\n"
@@ -497,20 +457,14 @@ int main(int argc, char** argv) {
     return 0;
   }
   const net::TransportKind transport = opt.transport;
-  // Base options for every group: the fabric plus the engine selections
-  // from the shared command line (the defaults — word diffs, row-order
-  // execution — are what the committed baseline was generated with).
   const auto base = [&](api::BackendOptions o) {
     o.transport = transport;
-    o.diff_engine = opt.diff_engine;
-    o.exec_engine = opt.exec_engine;
     return o;
   };
   std::printf(
       "sdsm::api backend sweep: 6 workloads (+ the nbf padded-vs-CSR "
       "comparison, the moldyn/pagerank/bfs/cc tournament-schedule A/B, the "
-      "moldyn/pagerank adaptive-coherence A/B, the moldyn/pagerank "
-      "diff-engine A/B, the moldyn/pagerank/spmv bucketed-execution rows, "
+      "moldyn/pagerank adaptive-coherence A/B, "
       "the moldyn/pagerank hybrid-backend rows, "
       "and the serving-layer one-shot/miss/hit + throughput groups) "
       "x 3 backends, %u nodes, %s transport.\n\n",
@@ -520,9 +474,6 @@ int main(int argc, char** argv) {
   if (any_group_enabled(opt, {"moldyn 4096x24", "moldyn 4096x24 tournament",
                               "coherence moldyn 4096x24 adaptive",
                               "coherence moldyn 4096x24 adaptive tournament",
-                              "moldyn 4096x24 diff-scalar",
-                              "moldyn 4096x24 diff-word",
-                              "moldyn 4096x24 bucketed",
                               "hybrid moldyn 4096x24"})) {
     moldyn::Params p;
     p.num_molecules = 4096;
@@ -553,25 +504,6 @@ int main(int argc, char** argv) {
                         [&](api::Backend b, const api::BackendOptions& o) {
                           return moldyn::run(b, p, sys, o);
                         });
-    // The diff-engine A/B: scalar vs word twin scans, traffic exact-gated
-    // identical across the two groups (encodings are byte-identical by
-    // construction); only diff_create_seconds moves.
-    add_diff_engine_rows(table, opt.backends, "moldyn 4096x24", seq.seconds,
-                         seq.checksum, opts,
-                         [&](api::Backend b, const api::BackendOptions& o) {
-                           return moldyn::run(b, p, sys, o);
-                         });
-    // The bucketed-execution rows: CSR rows sorted into power-of-two
-    // degree buckets at rebuild, uniform buckets through fixed-arity inner
-    // loops.  Buckets are a pure function of the backend-identical
-    // row_offsets, so checksums stay bit-exact across backends; pair rows
-    // are uniform degree-2, so the checksum also matches the row-order
-    // groups bit-exactly.  Traffic is unchanged — exact-gated.
-    api::BackendOptions bopts = opts;
-    bopts.exec_engine = api::ExecEngine::kBucketed;
-    add_rows(table, opt.backends, "moldyn 4096x24 bucketed", seq.seconds,
-             seq.checksum, bopts,
-             [&](api::Backend b) { return moldyn::run(b, p, sys, bopts); });
     // The mixed-assignment backend: indirection reads via inspector-built
     // gather schedules, the state partition under the page protocol.  Not
     // part of the three-way sweep (kAllBackends), so the row is added
@@ -616,7 +548,7 @@ int main(int argc, char** argv) {
                return api::run_kernel(b, nbf::make_padded_kernel(p), opts);
              });
   }
-  if (any_group_enabled(opt, {"spmv 16384x8", "spmv 16384x8 bucketed"})) {
+  if (group_enabled(opt, "spmv 16384x8")) {
     spmv::Params p;
     p.num_rows = 16384;
     p.edges_per_vertex = 8;
@@ -626,20 +558,10 @@ int main(int argc, char** argv) {
     const api::BackendOptions opts = base(spmv::default_options());
     add_rows(table, opt.backends, "spmv 16384x8", seq.seconds, seq.checksum, opts,
              [&](api::Backend b) { return spmv::run(b, p, opts); });
-    // Uniform degree-2 edge rows: one bucket, original order — bit-
-    // identical to the row-order group, traffic included (exact-gated).
-    api::BackendOptions bopts = opts;
-    bopts.exec_engine = api::ExecEngine::kBucketed;
-    add_rows(table, opt.backends, "spmv 16384x8 bucketed", seq.seconds,
-             seq.checksum, bopts,
-             [&](api::Backend b) { return spmv::run(b, p, bopts); });
   }
   if (any_group_enabled(opt, {"pagerank 16384x8", "pagerank 16384x8 tournament",
                               "coherence pagerank 16384x8 adaptive",
                               "coherence pagerank 16384x8 adaptive tournament",
-                              "pagerank 16384x8 diff-scalar",
-                              "pagerank 16384x8 diff-word",
-                              "pagerank 16384x8 bucketed",
                               "hybrid pagerank 16384x8"})) {
     pagerank::Params p;
     p.num_vertices = 16384;
@@ -666,19 +588,6 @@ int main(int argc, char** argv) {
                         [&](api::Backend b, const api::BackendOptions& o) {
                           return pagerank::run(b, p, o);
                         });
-    add_diff_engine_rows(table, opt.backends, "pagerank 16384x8", seq.seconds,
-                         seq.checksum, opts,
-                         [&](api::Backend b, const api::BackendOptions& o) {
-                           return pagerank::run(b, p, o);
-                         });
-    // Power-law degrees: the bucketed engine reorders the accumulation, so
-    // the checksum differs from row order in the last bits but is still
-    // deterministic — bit-exact across backends, checksum_close to seq.
-    api::BackendOptions bopts = opts;
-    bopts.exec_engine = api::ExecEngine::kBucketed;
-    add_rows(table, opt.backends, "pagerank 16384x8 bucketed", seq.seconds,
-             seq.checksum, bopts,
-             [&](api::Backend b) { return pagerank::run(b, p, bopts); });
     // Mixed assignment on the power-law graph (see the moldyn hybrid
     // group): bit-exact checksum against the sweep rows, exact-gated
     // traffic.

@@ -54,28 +54,6 @@ std::optional<RoundSchedule> parse_round_schedule(std::string_view name) {
   return std::nullopt;
 }
 
-const char* exec_engine_name(ExecEngine e) {
-  switch (e) {
-    case ExecEngine::kRows:
-      return "rows";
-    case ExecEngine::kBucketed:
-      return "bucketed";
-  }
-  return "?";
-}
-
-std::optional<ExecEngine> parse_exec_engine(std::string_view name) {
-  std::string s(name);
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (s == "rows" || s == "row") return ExecEngine::kRows;
-  if (s == "bucketed" || s == "buckets" || s == "bucket") {
-    return ExecEngine::kBucketed;
-  }
-  return std::nullopt;
-}
-
 const char* deploy_mode_name(DeployMode m) {
   switch (m) {
     case DeployMode::kThreads:

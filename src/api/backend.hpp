@@ -15,7 +15,6 @@
 #include "src/chaos/translation_table.hpp"
 #include "src/coherence/coherence.hpp"
 #include "src/common/types.hpp"
-#include "src/core/diff.hpp"
 #include "src/net/transport.hpp"
 
 namespace sdsm::api {
@@ -73,29 +72,6 @@ const char* round_schedule_name(RoundSchedule s);
 /// Parses "serial" | "tournament" case-insensitively; nullopt otherwise.
 std::optional<RoundSchedule> parse_round_schedule(std::string_view name);
 
-/// How a backend iterates the CSR work items inside one compute step.
-enum class ExecEngine : std::uint8_t {
-  /// Original row order, one generic variable-arity loop (the committed
-  /// baseline: checksums in BENCH_api.json were produced this way).
-  kRows,
-  /// Degree-bucketed: rows are grouped into power-of-two degree buckets at
-  /// rebuild and the uniform buckets run through fixed-arity inner loops
-  /// the compiler can vectorize; the irregular tail keeps the generic loop.
-  /// Reorders floating-point accumulation, so it is a different (still
-  /// deterministic) checksum — every backend buckets identically, keeping
-  /// cross-backend parity bit-exact.
-  kBucketed,
-};
-
-inline constexpr ExecEngine kAllExecEngines[] = {ExecEngine::kRows,
-                                                 ExecEngine::kBucketed};
-
-/// Stable display name: "rows" | "bucketed".
-const char* exec_engine_name(ExecEngine e);
-
-/// Parses "rows" | "bucketed" case-insensitively; nullopt otherwise.
-std::optional<ExecEngine> parse_exec_engine(std::string_view name);
-
 /// Stable display name: "threads" | "processes".
 const char* deploy_mode_name(DeployMode m);
 
@@ -136,16 +112,6 @@ struct BackendOptions {
   /// the per-page heat census replicate, migrate, or ghost hot regions.
   /// Tmk backends only — CHAOS has no page protocol to adapt.
   coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
-  /// Twin-vs-page scan engine for diff creation (Tmk backends).  Both
-  /// engines emit byte-identical encodings — traffic is exact-gated across
-  /// the A/B — so this knob moves only diff_create_seconds.
-  core::DiffEngine diff_engine = core::kDefaultDiffEngine;
-
-  // --- All backends ---------------------------------------------------------
-  /// Work-item iteration engine (see ExecEngine).  kRows is the
-  /// committed-baseline default; kBucketed is applied identically by every
-  /// backend so cross-backend checksum parity stays bit-exact.
-  ExecEngine exec_engine = ExecEngine::kRows;
 
   // --- CHAOS backend --------------------------------------------------------
   chaos::TableKind table = chaos::TableKind::kDistributed;

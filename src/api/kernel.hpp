@@ -150,8 +150,6 @@ inline double3 reduce_combine(Reduce op, const double3& a, const double3& b) {
   return double3{std::min(a.x, b.x), std::min(a.y, b.y), std::min(a.z, b.z)};
 }
 
-struct RowBuckets;  // degree-bucketed iteration order (src/api/bucketed.hpp)
-
 /// Everything the per-step body sees.  All references are localized by the
 /// backend; the body must index `x` and `f` only through `refs` /
 /// `refs_of`.  Row offsets are positions into `refs` and are
@@ -163,11 +161,6 @@ struct KernelCtx {
   std::span<const double> payload;  ///< per-item payload (may be empty)
   std::span<const T> x;             ///< state, indexed by localized ref
   std::span<T> f;                   ///< accumulator, same indexing
-  /// Non-null iff ExecEngine::kBucketed: the degree buckets built from
-  /// `row_offsets` at the last rebuild.  Kernels that iterate through
-  /// api::for_each_row pick the bucketed order up automatically; a pure
-  /// function of row_offsets, so identical on every backend.
-  const RowBuckets* buckets = nullptr;
 
   std::size_t num_items() const {
     return row_offsets.size() <= 1 ? 0 : row_offsets.size() - 1;

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "src/api/bucketed.hpp"
 #include "src/api/plan/dsm_exchange.hpp"
 #include "src/api/plan/fold.hpp"
 #include "src/api/plan/inspector_gather.hpp"
@@ -295,7 +294,6 @@ struct PageDsm {
     std::vector<T> accum;  ///< private full-size reduction array (the
                            ///< memory cost the paper notes for Tmk)
     std::vector<std::int64_t> row_offsets;
-    RowBuckets buckets;  ///< degree buckets (ExecEngine::kBucketed only)
     std::vector<double> payload;
     std::vector<bool> touches;  ///< chunks this node's items reference
     TournamentPlan plan;        ///< this node's bracket (tournament mode)
@@ -448,9 +446,6 @@ struct PageDsm {
       st.touches[owner_of(spec.owner_range, g)] = true;
     }
     st.row_offsets = std::move(items.row_offsets);
-    if (options.exec_engine == ExecEngine::kBucketed) {
-      st.buckets = RowBuckets::build(st.row_offsets);
-    }
     st.payload = std::move(items.payload);
     ++st.rebuilds;
     if (tournament) {
@@ -534,9 +529,6 @@ struct PageDsm {
     ctx.payload = std::span<const double>(st.payload);
     ctx.x = std::span<const T>(xp, n);
     ctx.f = std::span<T>(st.accum);
-    if (options.exec_engine == ExecEngine::kBucketed) {
-      ctx.buckets = &st.buckets;
-    }
     spec.compute(st.irregular, ctx);
 
     if (!tournament) {
@@ -852,7 +844,7 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
     };
     fabric[me] = std::make_unique<Fabric>(self);
     nodes[me] = std::make_unique<InspectorGather<T>>(
-        spec, options, *table, session, fabric[me]->exch, fabric[me]->node,
+        spec, *table, session, fabric[me]->exch, fabric[me]->node,
         rt.network().stats(), read_state, publish);
 
     // Seed: each owner writes its own slice (single writer from the first
@@ -887,12 +879,6 @@ KernelResult run_dsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
   SDSM_REQUIRE(rt.config().transport == options.transport);
   SDSM_REQUIRE(rt.config().write_all_enabled == options.write_all_enabled);
   SDSM_REQUIRE(rt.config().coherence == options.coherence);
-  // The diff engine is baked into the arena's config at construction, so
-  // a warm engine keyed without it would silently scan with the wrong
-  // engine; fail loudly instead (the serve layer keys engines on it).
-  SDSM_REQUIRE_MSG(rt.config().diff_engine == options.diff_engine,
-                   "run_dsm: runtime was built with a different diff engine "
-                   "than this run requests");
   SDSM_REQUIRE_MSG(rt.shared_bytes_used() == 0,
                    "run_dsm: runtime arena not reset");
 

@@ -32,7 +32,6 @@ std::shared_ptr<const chaos::TranslationTable> table_for(
 
 template <typename T>
 InspectorGather<T>::InspectorGather(const KernelSpec<T>& spec,
-                                    const BackendOptions& options,
                                     const chaos::TranslationTable& table,
                                     RunSession* session,
                                     chaos::ExchangeNode& exch,
@@ -47,8 +46,7 @@ InspectorGather<T>::InspectorGather(const KernelSpec<T>& spec,
       net_(net),
       read_state_(std::move(read_state)),
       publish_(std::move(publish)),
-      local_n_(static_cast<std::size_t>(spec.owner_range[exch.id()].size())),
-      bucketed_(options.exec_engine == ExecEngine::kBucketed) {
+      local_n_(static_cast<std::size_t>(spec.owner_range[exch.id()].size())) {
   const part::Range mine = spec.owner_range[exch.id()];
   x_all_.assign(spec.initial_state.begin() + mine.begin,
                 spec.initial_state.begin() + mine.end);
@@ -149,11 +147,6 @@ void InspectorGather<T>::rebuild(int /*global_step*/) {
   } else {
     fresh_rebuild(ordinal);
   }
-  if (bucketed_) {
-    // Built from row_offsets alone — byte-identical input on every
-    // backend — so the bucketed iteration order matches Tmk's exactly.
-    buckets_ = RowBuckets::build(row_offsets_);
-  }
   const std::size_t with_ghosts =
       local_n_ + static_cast<std::size_t>(sched_->num_ghosts);
   x_all_.resize(with_ghosts);
@@ -183,7 +176,6 @@ void InspectorGather<T>::execute_step(int /*global_step*/) {
   ctx.payload = payload_;
   ctx.x = x_all_;
   ctx.f = f_all_;
-  if (bucketed_) ctx.buckets = &buckets_;
   spec_.compute(node_, ctx);
   chaos::scatter<T>(exch_, *sched_, std::span<T>(f_all_.data(), local_n_),
                     std::span<const T>(f_all_.data() + local_n_, ghosts),

@@ -30,7 +30,6 @@
 #include <span>
 #include <vector>
 
-#include "src/api/bucketed.hpp"
 #include "src/api/kernel.hpp"
 #include "src/api/plan/step_driver.hpp"
 #include "src/api/reuse.hpp"
@@ -71,7 +70,7 @@ class InspectorGather : public NodeTally {
 
   /// `net` is the fabric's statistics, read for structure-traffic
   /// attribution.  x_all's owned block starts from spec.initial_state.
-  InspectorGather(const KernelSpec<T>& spec, const BackendOptions& options,
+  InspectorGather(const KernelSpec<T>& spec,
                   const chaos::TranslationTable& table, RunSession* session,
                   chaos::ExchangeNode& exch, IrregularNode& node,
                   const net::NetStats& net, ReadState read_state = {},
@@ -101,7 +100,6 @@ class InspectorGather : public NodeTally {
   ReadState read_state_;
   Publish publish_;
   const std::size_t local_n_;
-  const bool bucketed_;  ///< ExecEngine::kBucketed
 
   std::int64_t ordinals_ = 0;  ///< rebuild events, cache replays included
   std::vector<T> x_all_;       ///< owned block, ghost region appended
@@ -110,7 +108,6 @@ class InspectorGather : public NodeTally {
   std::shared_ptr<const chaos::Schedule> sched_;
   std::vector<std::int32_t> localized_;
   std::vector<std::int64_t> row_offsets_;
-  RowBuckets buckets_;  ///< degree buckets (ExecEngine::kBucketed only)
   std::vector<double> payload_;
 };
 

@@ -40,7 +40,7 @@ KernelResult run_msg(chaos::ChaosRuntime& rt, const KernelSpec<T>& spec,
   rt.run([&](chaos::ChaosNode& cn) {
     const NodeId me = cn.id();
     NodeHandle<chaos::ChaosNode> node(cn);
-    InspectorGather<T> strat(spec, options, *table, session, cn, node,
+    InspectorGather<T> strat(spec, *table, session, cn, node,
                              rt.network().stats());
 
     drive_steps(spec, strat, spec.warmup_steps, 0);

@@ -20,7 +20,6 @@ core::DsmConfig TmkBackend::dsm_config(std::uint32_t num_nodes,
   cfg.gc_threshold_bytes = options.gc_threshold_bytes;
   cfg.write_all_enabled = options.write_all_enabled;
   cfg.coherence = options.coherence;
-  cfg.diff_engine = options.diff_engine;
   return cfg;
 }
 

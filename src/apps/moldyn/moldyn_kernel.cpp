@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/api/bucketed.hpp"
-
 namespace sdsm::apps::moldyn {
 
 api::KernelSpec<double3> make_kernel(const Params& p, const System& sys) {
@@ -46,16 +44,15 @@ api::KernelSpec<double3> make_kernel(const Params& p, const System& sys) {
     return items;
   };
 
-  // Uniform degree-2 rows land in a single bucket in original order, so
-  // the bucketed engine is bit-identical to the rows engine here.
   spec.compute = [](api::IrregularNode&, const api::KernelCtx<double3>& ctx) {
-    api::for_each_row(ctx, [&ctx](std::size_t, auto pair) {
+    for (std::size_t i = 0; i < ctx.num_items(); ++i) {
+      const auto pair = ctx.refs_of(i);
       const auto a = static_cast<std::size_t>(pair[0]);
       const auto b = static_cast<std::size_t>(pair[1]);
       const double3 fk = pair_force(ctx.x[a], ctx.x[b]);
       ctx.f[a] += fk;
       ctx.f[b] -= fk;
-    });
+    }
   };
 
   spec.update = [dt = p.dt](std::span<double3> x,

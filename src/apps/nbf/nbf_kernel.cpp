@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/api/bucketed.hpp"
-
 namespace sdsm::apps::nbf {
 
 namespace {
@@ -33,8 +31,9 @@ api::KernelSpec<double> make_base(const Params& p) {
   // molecule itself is harmless (pair_force(x, x) == 0), which is exactly
   // how the padded variant reuses this body unchanged.
   spec.compute = [](api::IrregularNode&, const api::KernelCtx<double>& ctx) {
-    api::for_each_row(ctx, [&ctx](std::size_t, auto row) {
-      if (row.empty()) return;
+    for (std::size_t i = 0; i < ctx.num_items(); ++i) {
+      const auto row = ctx.refs_of(i);
+      if (row.empty()) continue;
       const auto li = static_cast<std::size_t>(row[0]);
       const double xi = ctx.x[li];
       for (std::size_t j = 1; j < row.size(); ++j) {
@@ -43,7 +42,7 @@ api::KernelSpec<double> make_base(const Params& p) {
         ctx.f[li] += d;
         ctx.f[lq] -= d;
       }
-    });
+    }
   };
 
   spec.update = [dt = p.dt](std::span<double> x, std::span<const double> f) {

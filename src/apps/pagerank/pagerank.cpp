@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "src/api/bucketed.hpp"
 #include "src/common/timer.hpp"
 #include "src/partition/partition.hpp"
 
@@ -158,18 +157,17 @@ api::KernelSpec<double> make_kernel(const Params& p) {
   };
 
   // The push body: out-degree is the row length minus the self reference —
-  // no payload needed.  Iterating through for_each_row makes the row span's
-  // extent a compile-time constant under the bucketed engine, so the inner
-  // accumulation unrolls per degree bucket.
+  // no payload needed.
   spec.compute = [](api::IrregularNode&, const api::KernelCtx<double>& ctx) {
-    api::for_each_row(ctx, [&ctx](std::size_t, auto row) {
-      if (row.size() < 2) return;  // isolated vertex: nothing to push
+    for (std::size_t i = 0; i < ctx.num_items(); ++i) {
+      const auto row = ctx.refs_of(i);
+      if (row.size() < 2) continue;  // isolated vertex: nothing to push
       const double share = ctx.x[static_cast<std::size_t>(row[0])] /
                            static_cast<double>(row.size() - 1);
       for (std::size_t j = 1; j < row.size(); ++j) {
         ctx.f[static_cast<std::size_t>(row[j])] += share;
       }
-    });
+    }
   };
 
   spec.update = [base = (1.0 - p.damping) / static_cast<double>(p.num_vertices),

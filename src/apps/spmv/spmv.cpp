@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "src/api/bucketed.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/timer.hpp"
 #include "src/partition/partition.hpp"
@@ -167,14 +166,13 @@ api::KernelSpec<double> make_kernel(const Params& p) {
     return items;
   };
 
-  // Uniform degree-2 rows land in a single bucket in original order, so
-  // the bucketed engine is bit-identical to the rows engine here.
   spec.compute = [](api::IrregularNode&, const api::KernelCtx<double>& ctx) {
-    api::for_each_row(ctx, [&ctx](std::size_t k, auto edge) {
+    for (std::size_t k = 0; k < ctx.num_items(); ++k) {
+      const auto edge = ctx.refs_of(k);
       const auto a = static_cast<std::size_t>(edge[0]);
       const auto b = static_cast<std::size_t>(edge[1]);
       apply_edge(ctx.payload[k], ctx.x[a], ctx.x[b], ctx.f[a], ctx.f[b]);
-    });
+    }
   };
 
   spec.update = [dt = p.dt](std::span<double> x, std::span<const double> f) {

@@ -1,8 +1,6 @@
 #include "src/core/diff.hpp"
 
-#include <cctype>
 #include <cstring>
-#include <string>
 
 namespace sdsm::core {
 
@@ -36,12 +34,12 @@ std::size_t run_len(std::uint16_t encoded_len) {
   return encoded_len == 0 ? 65536 : encoded_len;
 }
 
-// --- Word engine scan helpers ----------------------------------------------
+// --- Scan helpers ------------------------------------------------------------
 //
 // Both helpers step eight bytes at a time via unaligned uint64 loads and fall
 // back to a byte loop only inside the word where the answer lives (and for
 // the sub-word tail), so the run boundaries they find are exactly the ones
-// the scalar byte loop finds.
+// a byte-at-a-time loop finds.
 
 std::uint64_t load_u64(const std::byte* p) {
   std::uint64_t x;
@@ -91,28 +89,8 @@ std::size_t word_find_match(const std::byte* cur, const std::byte* twin,
 
 }  // namespace
 
-const char* diff_engine_name(DiffEngine e) {
-  switch (e) {
-    case DiffEngine::kScalar:
-      return "scalar";
-    case DiffEngine::kWord:
-      return "word";
-  }
-  return "?";
-}
-
-std::optional<DiffEngine> parse_diff_engine(std::string_view name) {
-  std::string t;
-  for (const char c : name) {
-    t.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (t == "scalar" || t == "byte") return DiffEngine::kScalar;
-  if (t == "word") return DiffEngine::kWord;
-  return std::nullopt;
-}
-
 Diff Diff::create(std::span<const std::byte> current,
-                  std::span<const std::byte> twin, DiffEngine engine) {
+                  std::span<const std::byte> twin) {
   SDSM_REQUIRE(current.size() == twin.size());
   SDSM_REQUIRE(current.size() <= 65536);
 
@@ -133,32 +111,11 @@ Diff Diff::create(std::span<const std::byte> current,
     ++nruns;
   };
 
-  if (engine == DiffEngine::kWord) {
-    std::size_t i = word_find_diff(cur, twn, 0, n);
-    while (i < n) {
-      const std::size_t end = word_find_match(cur, twn, i + 1, n);
-      emit(i, end);
-      i = word_find_diff(cur, twn, end, n);
-    }
-  } else {
-    // Reference byte loop.  Extend a run only while the bytes actually
-    // differ: a diff must never carry unmodified bytes, because concurrent
-    // writers of one page produce diffs that are merged in arbitrary
-    // relative order, and a bridged gap would ship this writer's (stale)
-    // copy of bytes some other writer owns, erasing that writer's update on
-    // merge.  Exact runs cost more headers for interleaved patterns;
-    // correctness of the multiple-writer protocol requires them.
-    std::size_t i = 0;
-    while (i < n) {
-      if (cur[i] == twn[i]) {
-        ++i;
-        continue;
-      }
-      std::size_t end = i + 1;
-      while (end < n && cur[end] != twn[end]) ++end;
-      emit(i, end);
-      i = end;
-    }
+  std::size_t i = word_find_diff(cur, twn, 0, n);
+  while (i < n) {
+    const std::size_t end = word_find_match(cur, twn, i + 1, n);
+    emit(i, end);
+    i = word_find_diff(cur, twn, end, n);
   }
 
   std::memcpy(d.encoded_.data(), &nruns, sizeof(nruns));

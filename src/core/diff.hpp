@@ -8,31 +8,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "src/common/assert.hpp"
 
 namespace sdsm::core {
-
-/// Selects the twin-vs-page scan implementation used by Diff::create.  Both
-/// engines emit EXACT maximal runs of differing bytes, so the encoded bytes
-/// are identical — the wire format is engine-independent and A/B rows can be
-/// gated exactly on byte counts.
-enum class DiffEngine : std::uint8_t {
-  kScalar = 0,  ///< byte-at-a-time reference loop
-  kWord = 1,    ///< uint64 compare, byte fixup only inside a differing word
-};
-
-inline constexpr DiffEngine kDefaultDiffEngine = DiffEngine::kWord;
-
-/// Stable display name: "scalar" | "word".
-const char* diff_engine_name(DiffEngine e);
-
-/// Parses "scalar" | "word" case-insensitively; nullopt otherwise.
-std::optional<DiffEngine> parse_diff_engine(std::string_view name);
 
 class Diff {
  public:
@@ -42,12 +23,12 @@ class Diff {
   /// Runs are EXACT maximal stretches of differing bytes.  A diff must never
   /// carry unmodified bytes: concurrent writers of one page produce diffs
   /// that merge in arbitrary relative order, and a bridged gap would ship
-  /// this writer's (stale) copy of bytes some other writer owns.  Because
-  /// run segmentation is a pure function of the data, every engine produces
-  /// byte-identical encodings.
+  /// this writer's (stale) copy of bytes some other writer owns.  The scan
+  /// compares eight bytes at a time and drops to a byte loop only inside a
+  /// word where a run starts or ends, so the runs it finds are exactly the
+  /// ones a byte-at-a-time loop finds.
   static Diff create(std::span<const std::byte> current,
-                     std::span<const std::byte> twin,
-                     DiffEngine engine = kDefaultDiffEngine);
+                     std::span<const std::byte> twin);
 
   /// Encodes the entire page as a single run (WRITE_ALL pages: "the entire
   /// page, and not the diff, must be sent").

@@ -506,8 +506,7 @@ std::optional<IntervalMeta> DsmNode::close_interval() {
       encoded.push_back(Encoded{page, Diff::whole(data), true});
     } else {
       Diff d = Diff::create(
-          data, std::span<const std::byte>(pm.twin.get(), region_.page_size()),
-          config().diff_engine);
+          data, std::span<const std::byte>(pm.twin.get(), region_.page_size()));
       if (!d.empty()) {
         encoded.push_back(Encoded{page, std::move(d), false});
       } else {
@@ -624,8 +623,7 @@ void DsmNode::process_metas(std::vector<IntervalMeta> metas) {
                                         region_.page_size());
         Diff d = Diff::create(data,
                               std::span<const std::byte>(pm.twin.get(),
-                                                         region_.page_size()),
-                              config().diff_engine);
+                                                         region_.page_size()));
         stats().diff_create_ns.add(
             static_cast<std::uint64_t>(create_timer.elapsed_s() * 1e9));
         SDSM_TRACE(wn.page, "early-diff open_seq=%u bytes=%zu", my_open_seq,

@@ -80,10 +80,6 @@ struct DsmConfig {
   /// whole-page shipping).  Disabled by the ablation bench to measure the
   /// "multiple overlapping diffs" effect the paper describes for reductions.
   bool write_all_enabled = true;
-  /// Twin-vs-page scan implementation for Diff::create.  Engines are
-  /// byte-identical on the wire (exact maximal runs either way); the knob
-  /// exists for the scalar/word A/B rows in the bench.
-  DiffEngine diff_engine = kDefaultDiffEngine;
   /// Adaptive coherence (src/coherence/): heat-driven replicate / migrate /
   /// ghost decisions evaluated at barrier rendezvous.  kStatic leaves the
   /// protocol — and its wire traffic — byte-identical to the baseline.

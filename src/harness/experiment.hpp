@@ -58,9 +58,7 @@ struct Row {
   /// gate column like messages.
   std::int64_t cache_hits = 0;
   /// Per-node wall time in the diff hot paths (Tmk rows; zero on CHAOS and
-  /// non-kernel rows): twin-vs-page scans and Diff::apply loops.  The
-  /// columns the --diff-engine A/B moves — its traffic is byte-identical
-  /// by construction.
+  /// non-kernel rows): twin-vs-page scans and Diff::apply loops.
   double diff_create_seconds = 0;
   double diff_apply_seconds = 0;
   /// The DSM protocol counters of a row built from a KernelResult (all

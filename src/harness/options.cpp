@@ -78,18 +78,6 @@ Options Options::parse(int argc, char** argv) {
       } else {
         usage_exit("--coherence", *v, "static|adaptive");
       }
-    } else if (const auto v = take_value(argc, argv, i, "--diff-engine")) {
-      if (const auto e = core::parse_diff_engine(*v)) {
-        o.diff_engine = *e;
-      } else {
-        usage_exit("--diff-engine", *v, "scalar|word");
-      }
-    } else if (const auto v = take_value(argc, argv, i, "--exec")) {
-      if (const auto e = api::parse_exec_engine(*v)) {
-        o.exec_engine = *e;
-      } else {
-        usage_exit("--exec", *v, "rows|bucketed");
-      }
     } else {
       o.extras_.emplace_back(argv[i]);
     }

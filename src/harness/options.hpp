@@ -15,15 +15,6 @@
 //                                      static; adaptive enables the heat-
 //                                      driven replicate/migrate/ghost
 //                                      engine on the Tmk backends)
-//   --diff-engine=scalar|word          twin-vs-page scan engine for diff
-//                                      creation (default word; encodings
-//                                      are byte-identical either way, so
-//                                      only diff_create_seconds moves)
-//   --exec=rows|bucketed               work-item iteration engine (default
-//                                      rows; bucketed groups CSR rows into
-//                                      power-of-two degree buckets and runs
-//                                      the uniform buckets through
-//                                      fixed-arity vectorizable loops)
 //
 // Unrecognized arguments are kept verbatim and queryable through flag() /
 // value(), so binary-specific switches (serve_app's --smoke, --port)
@@ -55,8 +46,6 @@ class Options {
   api::RoundSchedule schedule = api::RoundSchedule::kSerial;
   DeployMode mode = DeployMode::kThreads;
   coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
-  core::DiffEngine diff_engine = core::kDefaultDiffEngine;
-  api::ExecEngine exec_engine = api::ExecEngine::kRows;
 
   /// True when `--name` appeared among the extras (with or without value).
   bool flag(std::string_view name) const;

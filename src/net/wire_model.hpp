@@ -8,8 +8,8 @@ namespace sdsm::net {
 
 /// Communication cost model.  With both fields zero (the default, used by
 /// unit tests) messages are delivered immediately.  Bench configurations
-/// enable it to restore a realistic latency/bandwidth ratio; see
-/// EXPERIMENTS.md for the calibration used for the paper tables.  Only the
+/// enable it to restore a realistic latency/bandwidth ratio; the paper-table
+/// benches use bench::sp2_wire() (bench/bench_params.hpp).  Only the
 /// in-process transport simulates it; the socket transport's wire cost is
 /// real and therefore measured, not modelled.
 struct WireModel {

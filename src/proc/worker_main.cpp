@@ -147,8 +147,6 @@ int main(int argc, char** argv) {
   options.round_schedule = req.schedule;
   options.cross_step_prefetch = req.cross_step_prefetch;
   options.coherence = req.coherence;
-  options.diff_engine = req.diff_engine;
-  options.exec_engine = req.exec;
 
   core::DsmConfig cfg = api::TmkBackend::dsm_config(nprocs, options);
   proc::RendezvousResult rdv = proc::rendezvous(

@@ -39,8 +39,6 @@ void encode(Writer& w, const JobRequest& req) {
   w.put<std::uint8_t>(req.cross_step_prefetch ? 1 : 0);
   w.put<std::uint8_t>(static_cast<std::uint8_t>(req.coherence));
   w.put<std::uint8_t>(static_cast<std::uint8_t>(req.transport));
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(req.diff_engine));
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(req.exec));
 }
 
 JobRequest decode_request(Reader& r) {
@@ -53,8 +51,6 @@ JobRequest decode_request(Reader& r) {
   req.coherence =
       static_cast<coherence::CoherencePolicy>(r.get<std::uint8_t>());
   req.transport = static_cast<net::TransportKind>(r.get<std::uint8_t>());
-  req.diff_engine = static_cast<core::DiffEngine>(r.get<std::uint8_t>());
-  req.exec = static_cast<api::ExecEngine>(r.get<std::uint8_t>());
   return req;
 }
 

@@ -17,7 +17,6 @@
 
 #include "src/api/backend.hpp"
 #include "src/common/buffer.hpp"
-#include "src/core/diff.hpp"
 #include "src/net/transport.hpp"
 
 namespace sdsm::serve {
@@ -48,17 +47,8 @@ struct JobRequest {
   /// static job must never see, and vice versa.
   coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
   /// Inter-node fabric the job's engine uses (engines are keyed by
-  /// (backend, transport, coherence, diff_engine, exec), so in-proc and
-  /// socket jobs coexist).
+  /// (backend, transport, coherence), so in-proc and socket jobs coexist).
   net::TransportKind transport = net::TransportKind::kInProc;
-  /// Twin-vs-page diff scan engine.  Part of the engine key: a Tmk
-  /// engine's DsmRuntime bakes the diff engine into its config at
-  /// construction, so a warm scalar arena must never serve a word-engine
-  /// job (it would silently run with the wrong engine).
-  core::DiffEngine diff_engine = core::kDefaultDiffEngine;
-  /// Work-item iteration engine.  Keyed as well so one engine's warm
-  /// cadence stays attributable to a single execution configuration.
-  api::ExecEngine exec = api::ExecEngine::kRows;
 };
 
 /// Everything a completed (or failed) job reports back.

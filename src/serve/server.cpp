@@ -31,10 +31,11 @@ struct KernelServer::Job {
 
 // --- Engines ---------------------------------------------------------------
 
-// An engine is the warm substrate for one (backend, transport, coherence,
-// diff_engine, exec) key.  Its mutex serializes jobs on it: within a job the backend's node threads
-// already occupy the machine, so per-engine serialization loses nothing,
-// and jobs on *different* engines overlap freely across the worker pool.
+// An engine is the warm substrate for one (backend, transport, coherence)
+// key.  Its mutex serializes jobs on it: within a job the backend's node
+// threads already occupy the machine, so per-engine serialization loses
+// nothing, and jobs on *different* engines overlap freely across the
+// worker pool.
 struct KernelServer::Engine {
   std::mutex mu;
   virtual ~Engine() = default;
@@ -96,14 +97,11 @@ api::BackendOptions KernelServer::overlay(api::BackendOptions base,
 
 KernelServer::Engine& KernelServer::engine_for(const JobRequest& req) {
   // Every field a warm substrate is built from must be part of the key:
-  // a TmkEngine's DsmRuntime bakes diff_engine into its config at
-  // construction, so a scalar arena must never serve a word-engine job.
-  // exec does not shape the substrate but is keyed too, so one engine's
-  // warm cadence stays attributable to a single execution configuration.
-  const std::tuple<int, int, int, int, int> key{
-      static_cast<int>(req.backend), static_cast<int>(req.transport),
-      static_cast<int>(req.coherence), static_cast<int>(req.diff_engine),
-      static_cast<int>(req.exec)};
+  // a TmkEngine's DsmRuntime bakes the coherence policy into its config at
+  // construction, and run_dsm refuses a job whose policy differs.
+  const std::tuple<int, int, int> key{static_cast<int>(req.backend),
+                                      static_cast<int>(req.transport),
+                                      static_cast<int>(req.coherence)};
   std::lock_guard<std::mutex> g(engines_mu_);
   const auto it = engines_.find(key);
   if (it != engines_.end()) return *it->second;
@@ -115,7 +113,6 @@ KernelServer::Engine& KernelServer::engine_for(const JobRequest& req) {
   } else {
     api::BackendOptions base;
     base.coherence = req.coherence;
-    base.diff_engine = req.diff_engine;
     engine = std::make_unique<TmkEngine>(cfg_.nprocs, req.backend,
                                          overlay(std::move(base),
                                                  req.transport));
@@ -272,8 +269,6 @@ void KernelServer::run_job(Job& job) {
     opts.round_schedule = job.req.schedule;
     opts.cross_step_prefetch = job.req.cross_step_prefetch;
     opts.coherence = job.req.coherence;
-    opts.diff_engine = job.req.diff_engine;
-    opts.exec_engine = job.req.exec;
 
     Engine& engine = engine_for(job.req);
 

@@ -1,8 +1,7 @@
 // KernelServer: the persistent kernel-serving runtime (the PR's tentpole).
 //
 // A server owns its execution substrates for its whole lifetime — one warm
-// engine per (backend, transport, coherence, diff_engine, exec) tuple,
-// created lazily: a
+// engine per (backend, transport, coherence) tuple, created lazily: a
 // TreadMarks engine keeps a DsmRuntime whose arena is reset (not rebuilt)
 // between jobs — the reset also clears adaptive-coherence heat and
 // directory state, so a warm engine starts every job cold — and a CHAOS
@@ -117,8 +116,7 @@ class KernelServer {
   std::vector<std::thread> workers_;
 
   std::mutex engines_mu_;
-  std::map<std::tuple<int, int, int, int, int>, std::unique_ptr<Engine>>
-      engines_;
+  std::map<std::tuple<int, int, int>, std::unique_ptr<Engine>> engines_;
 
   int port_ = -1;
   int listen_fd_ = -1;

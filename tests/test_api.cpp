@@ -154,9 +154,11 @@ TEST_P(CrossBackend, SpmvParityOnAllBackends) {
 TEST_P(CrossBackend, PageRankParityOnAllBackends) {
   // The variable-degree CSR workload: per-vertex adjacency rows over the
   // power-law graph, out-degree recovered from the row length.  Checksums
-  // must agree with the sequential reference on every backend; the degree
-  // skew must be visible in the audit columns (hub row far above the
-  // mean).
+  // must agree with the sequential reference on every backend, and
+  // bitwise with each other: every backend walks each node's rows in the
+  // same order, so the skewed rows' FP accumulation is identical too.  The
+  // degree skew must be visible in the audit columns (hub row far above
+  // the mean).
   apps::pagerank::Params p;
   p.num_vertices = 1024;
   p.edges_per_vertex = 4;
@@ -165,10 +167,13 @@ TEST_P(CrossBackend, PageRankParityOnAllBackends) {
   const auto seq = apps::pagerank::run_seq(p);
   api::BackendOptions opts = apps::pagerank::default_options();
   opts.transport = GetParam();
+  double chaos_checksum = 0;
   for (const Backend b : kAllBackends) {
     const auto r = apps::pagerank::run(b, p, opts);
     EXPECT_TRUE(checksum_close(seq.checksum, r.checksum))
         << backend_name(b) << ": " << seq.checksum << " vs " << r.checksum;
+    if (b == Backend::kChaos) chaos_checksum = r.checksum;
+    EXPECT_EQ(r.checksum, chaos_checksum) << backend_name(b);
     EXPECT_GT(r.messages, 0u) << backend_name(b);
     EXPECT_EQ(r.rebuilds, 1) << backend_name(b);
     // refs = vertices (self refs) + 2 * edges; rows average ~2*m+1 refs

@@ -247,41 +247,64 @@ TEST_P(DiffProperty, CarriesOnlyModifiedBytes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffProperty, ::testing::Range(0, 6));
 
-// --- Engine equivalence ------------------------------------------------------
+// --- Word scan against the byte-loop oracle ---------------------------------
 //
-// The word engine must be a pure speedup: run segmentation is a function of
-// the data alone, so Diff::create must produce byte-identical encodings
-// under both engines on every input — the property that lets --diff-engine
-// change without any wire-format version bump.
+// Diff::create scans eight bytes at a time.  Run segmentation is a function
+// of the data alone, so its encoding must be byte-identical to what the
+// plain byte-at-a-time loop below produces, on every input.
 
-/// Asserts byte-identical encodings across engines plus a round-trip apply
-/// of the word encoding.
-void expect_engines_agree(const std::vector<std::byte>& cur,
-                          const std::vector<std::byte>& twin) {
-  const Diff scalar = Diff::create(cur, twin, DiffEngine::kScalar);
-  const Diff word = Diff::create(cur, twin, DiffEngine::kWord);
-  ASSERT_EQ(scalar.bytes(), word.bytes());
+/// The reference encoder: one byte at a time, a run extended only while the
+/// bytes differ, laid out in Diff's wire format ([u32 nruns], then per run
+/// [u16 offset][u16 len, 0 = 65536][len bytes], little-endian).
+std::vector<std::uint8_t> byte_loop_encoding(
+    const std::vector<std::byte>& cur, const std::vector<std::byte>& twin) {
+  std::vector<std::uint8_t> out(4, 0);
+  const auto put_u16 = [&out](std::size_t x) {
+    out.push_back(static_cast<std::uint8_t>(x & 0xff));
+    out.push_back(static_cast<std::uint8_t>((x >> 8) & 0xff));
+  };
+  std::uint32_t nruns = 0;
+  std::size_t i = 0;
+  while (i < cur.size()) {
+    if (cur[i] == twin[i]) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i + 1;
+    while (end < cur.size() && cur[end] != twin[end]) ++end;
+    put_u16(i);
+    put_u16(end - i == 65536 ? 0 : end - i);
+    for (std::size_t k = i; k < end; ++k) {
+      out.push_back(std::to_integer<std::uint8_t>(cur[k]));
+    }
+    ++nruns;
+    i = end;
+  }
+  for (int b = 0; b < 4; ++b) {
+    out[static_cast<std::size_t>(b)] =
+        static_cast<std::uint8_t>((nruns >> (8 * b)) & 0xff);
+  }
+  return out;
+}
+
+/// Asserts the word scan's encoding equals the oracle's, plus a round-trip
+/// apply.
+void expect_matches_oracle(const std::vector<std::byte>& cur,
+                           const std::vector<std::byte>& twin) {
+  const Diff word = Diff::create(cur, twin);
+  ASSERT_EQ(word.bytes(), byte_loop_encoding(cur, twin));
   auto target = twin;
   word.apply(target);
   EXPECT_EQ(target, cur);
 }
 
-TEST(DiffEngine, NamesAndParsingRoundTrip) {
-  EXPECT_STREQ(diff_engine_name(DiffEngine::kScalar), "scalar");
-  EXPECT_STREQ(diff_engine_name(DiffEngine::kWord), "word");
-  EXPECT_EQ(parse_diff_engine("scalar"), DiffEngine::kScalar);
-  EXPECT_EQ(parse_diff_engine("byte"), DiffEngine::kScalar);
-  EXPECT_EQ(parse_diff_engine("Word"), DiffEngine::kWord);
-  EXPECT_EQ(parse_diff_engine("simd"), std::nullopt);
-}
-
-TEST(DiffEngine, CleanPageEncodesEmptyBothWays) {
+TEST(DiffScan, CleanPageEncodesEmpty) {
   const auto twin = page_of(7);
-  expect_engines_agree(twin, twin);
-  EXPECT_TRUE(Diff::create(twin, twin, DiffEngine::kWord).empty());
+  expect_matches_oracle(twin, twin);
+  EXPECT_TRUE(Diff::create(twin, twin).empty());
 }
 
-TEST(DiffEngine, SingleByteFlipsAtWordBoundaries) {
+TEST(DiffScan, SingleByteFlipsAtWordBoundaries) {
   // Offsets straddling every interesting uint64 lane position: word
   // starts, word ends, the page edges, and bytes adjacent to each.
   const std::size_t offsets[] = {0,    1,    6,    7,    8,    9,
@@ -292,12 +315,12 @@ TEST(DiffEngine, SingleByteFlipsAtWordBoundaries) {
     auto cur = twin;
     cur[off] ^= std::byte{0xff};
     SCOPED_TRACE(off);
-    expect_engines_agree(cur, twin);
-    EXPECT_EQ(Diff::create(cur, twin, DiffEngine::kWord).num_runs(), 1u);
+    expect_matches_oracle(cur, twin);
+    EXPECT_EQ(Diff::create(cur, twin).num_runs(), 1u);
   }
 }
 
-TEST(DiffEngine, RunsStraddlingWordBoundaries) {
+TEST(DiffScan, RunsStraddlingWordBoundaries) {
   // A run crossing a word boundary, a word-aligned whole-word run, and a
   // pair of runs whose one-byte gap sits inside a single word — the case
   // where the word scan must not fuse what the byte scan splits.
@@ -318,14 +341,14 @@ TEST(DiffEngine, RunsStraddlingWordBoundaries) {
       for (std::size_t i = r.begin; i < r.end; ++i) cur[i] = std::byte{0xee};
     }
     SCOPED_TRACE(ci);
-    expect_engines_agree(cur, twin);
-    EXPECT_EQ(Diff::create(cur, twin, DiffEngine::kWord).num_runs(),
+    expect_matches_oracle(cur, twin);
+    EXPECT_EQ(Diff::create(cur, twin).num_runs(),
               cases[ci].size());
   }
 }
 
-TEST(DiffEngine, PageAlignedRunsAgree) {
-  // Whole page-aligned stretches dirty — the fast path the word engine
+TEST(DiffScan, PageAlignedRunsAgree) {
+  // Whole page-aligned stretches dirty — the fast path the word scan
   // exists for (both the all-equal skip and the all-different extension).
   for (const std::size_t quarter : {0u, 1u, 2u, 3u}) {
     auto twin = page_of(0);
@@ -335,29 +358,29 @@ TEST(DiffEngine, PageAlignedRunsAgree) {
       cur[i] = std::byte{0x99};
     }
     SCOPED_TRACE(quarter);
-    expect_engines_agree(cur, twin);
+    expect_matches_oracle(cur, twin);
   }
 }
 
-TEST(DiffEngine, FullyDirtyPageAgreesAndIsWhole) {
+TEST(DiffScan, FullyDirtyPageAgreesAndIsWhole) {
   const auto twin = page_of(0);
   const auto cur = page_of(1);
-  expect_engines_agree(cur, twin);
-  EXPECT_TRUE(Diff::create(cur, twin, DiffEngine::kWord).is_whole(kPage));
+  expect_matches_oracle(cur, twin);
+  EXPECT_TRUE(Diff::create(cur, twin).is_whole(kPage));
 }
 
-TEST(DiffEngine, AlternatingBytesAgree) {
+TEST(DiffScan, AlternatingBytesAgree) {
   // Worst case for the run encoder: every other byte modified, so every
   // word holds four one-byte runs and the word scan degenerates to the
   // byte loop without ever bridging a gap.
   auto twin = page_of(0);
   auto cur = twin;
   for (std::size_t i = 0; i < kPage; i += 2) cur[i] = std::byte{0x77};
-  expect_engines_agree(cur, twin);
-  EXPECT_EQ(Diff::create(cur, twin, DiffEngine::kWord).num_runs(), kPage / 2);
+  expect_matches_oracle(cur, twin);
+  EXPECT_EQ(Diff::create(cur, twin).num_runs(), kPage / 2);
 }
 
-TEST(DiffEngine, SubWordBuffersAgree) {
+TEST(DiffScan, SubWordBuffersAgree) {
   // Buffers shorter than one uint64 (and every length around it) exercise
   // the byte-loop tails of both scan helpers.
   sdsm::Rng rng(1234);
@@ -369,22 +392,22 @@ TEST(DiffEngine, SubWordBuffersAgree) {
         cur[i] = std::byte{static_cast<unsigned char>(rng.next_below(4))};
       }
       SCOPED_TRACE(n);
-      expect_engines_agree(cur, twin);
+      expect_matches_oracle(cur, twin);
     }
   }
 }
 
-TEST(DiffEngine, MaxRegionFullyDirtyUsesLenZeroEncoding) {
+TEST(DiffScan, MaxRegionFullyDirtyUsesLenZeroEncoding) {
   // 65536 dirty bytes: the one case where run_len wraps to the encoded 0.
   const std::vector<std::byte> twin(65536, std::byte{0});
   const std::vector<std::byte> cur(65536, std::byte{1});
-  expect_engines_agree(cur, twin);
-  EXPECT_TRUE(Diff::create(cur, twin, DiffEngine::kWord).is_whole(65536));
+  expect_matches_oracle(cur, twin);
+  EXPECT_TRUE(Diff::create(cur, twin).is_whole(65536));
 }
 
-class DiffEngine2 : public ::testing::TestWithParam<int> {};
+class DiffScanRandom : public ::testing::TestWithParam<int> {};
 
-TEST_P(DiffEngine2, RandomPairsEncodeIdentically) {
+TEST_P(DiffScanRandom, RandomPairsEncodeIdentically) {
   sdsm::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7907 + 3);
   for (int trial = 0; trial < 20; ++trial) {
     auto twin = page_of(0);
@@ -406,11 +429,11 @@ TEST_P(DiffEngine2, RandomPairsEncodeIdentically) {
         cur[i] = std::byte{static_cast<unsigned char>(rng.next_below(256))};
       }
     }
-    expect_engines_agree(cur, twin);
+    expect_matches_oracle(cur, twin);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, DiffEngine2, ::testing::Range(0, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, DiffScanRandom, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace sdsm::core

@@ -215,36 +215,44 @@ TEST(ServeIsolation, ArenaResetBetweenDifferentJobs) {
   EXPECT_EQ(one.messages, second.messages);
 }
 
-// --- Engine keying: diff/exec engines ---------------------------------------
+// --- Engine keying: coherence ----------------------------------------------
 
-// Jobs that differ only in diff_engine or exec must not share a warm
-// engine: the diff engine is baked into a Tmk engine's arena when it is
-// constructed, and run_dsm now fails loudly when a runtime's engine
-// disagrees with the job's — so if the serve key ever stopped including
-// diff_engine, the second job below would fail instead of silently
-// scanning with the wrong engine.  Both knobs are exact A/Bs, so every
-// variant must also produce bit-identical results and traffic.
-TEST(ServeEngineKey, DiffAndExecVariantsGetTheirOwnEngines) {
+// Jobs that differ only in coherence must not share a warm engine: the
+// policy is baked into a Tmk engine's arena when it is constructed, and
+// run_dsm refuses a runtime whose policy disagrees with the job's — so if
+// the serve key ever stopped including coherence, the adaptive job below
+// would abort instead of running.  Each variant must also reproduce its
+// own one-shot run: the adaptive job a fresh adaptive runtime, and the
+// static job after it the static job before it.
+TEST(ServeEngineKey, CoherenceVariantsGetTheirOwnEngines) {
   KernelServer server(small_server());
   Client client = Client::in_proc(server);
 
-  const JobRequest scalar =
+  const JobRequest static_req =
       spmv_request(api::Backend::kTmkOptimized, net::TransportKind::kInProc);
-  JobRequest word = scalar;
-  word.diff_engine = core::DiffEngine::kWord;
-  JobRequest bucketed = scalar;
-  bucketed.exec = api::ExecEngine::kBucketed;
+  JobRequest adaptive_req = static_req;
+  adaptive_req.coherence = coherence::CoherencePolicy::kAdaptive;
 
-  const JobStats a = client.run(scalar);
-  const JobStats b = client.run(word);  // would alias a's engine if unkeyed
-  const JobStats c = client.run(bucketed);
+  const JobStats a = client.run(static_req);
+  const JobStats b = client.run(adaptive_req);  // aborts on a's engine
+  const JobStats c = client.run(static_req);
   ASSERT_TRUE(a.ok) << a.error;
   ASSERT_TRUE(b.ok) << b.error;
   ASSERT_TRUE(c.ok) << c.error;
 
-  EXPECT_EQ(b.checksum, a.checksum);
+  apps::spmv::Params p;
+  p.num_rows = 2048;
+  p.num_steps = 6;
+  p.edges_per_vertex = 4;
+  p.nprocs = kNodes;
+  api::BackendOptions opts = apps::spmv::default_options();
+  opts.coherence = coherence::CoherencePolicy::kAdaptive;
+  const api::KernelResult one = api::run_kernel(
+      api::Backend::kTmkOptimized, apps::spmv::make_kernel(p), opts);
+  EXPECT_EQ(b.checksum, one.checksum);
+  EXPECT_EQ(b.messages, one.messages);
+
   EXPECT_EQ(c.checksum, a.checksum);
-  EXPECT_EQ(b.messages, a.messages);
   EXPECT_EQ(c.messages, a.messages);
 }
 
@@ -500,8 +508,7 @@ TEST(ServeCodec, RequestRoundTrip) {
                                   net::TransportKind::kSocket);
   req.schedule = api::RoundSchedule::kTournament;
   req.cross_step_prefetch = true;
-  req.diff_engine = core::DiffEngine::kWord;
-  req.exec = api::ExecEngine::kBucketed;
+  req.coherence = coherence::CoherencePolicy::kAdaptive;
   Writer w;
   encode(w, req);
   Reader r(w.bytes());
@@ -513,9 +520,8 @@ TEST(ServeCodec, RequestRoundTrip) {
   EXPECT_EQ(back.backend, req.backend);
   EXPECT_EQ(back.schedule, req.schedule);
   EXPECT_EQ(back.cross_step_prefetch, req.cross_step_prefetch);
+  EXPECT_EQ(back.coherence, req.coherence);
   EXPECT_EQ(back.transport, req.transport);
-  EXPECT_EQ(back.diff_engine, req.diff_engine);
-  EXPECT_EQ(back.exec, req.exec);
 }
 
 TEST(ServeCodec, StatsRoundTrip) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc hygiene checks for README.md, ROADMAP.md, and docs/.
 
-Two checks, both cheap enough to run on every push:
+Three checks, all cheap enough to run on every push:
 
 1.  Relative markdown links resolve: the target file exists, and when
     the link carries a #fragment, a heading in the target generates
@@ -16,6 +16,10 @@ Two checks, both cheap enough to run on every push:
     opt.flag()/opt.value() in bench/*.cpp, or an argparse option in
     bench/*.py.  Docs describing a flag the parsers no longer accept
     is exactly the rot this catches.
+
+3.  No dangling doc citations: every `*.md` a source file under src/,
+    bench/, tests/ or examples/ names (in a .cpp, .hpp or .py) exists,
+    relative to the citing file or to the repo root.
 
 Stdlib only; exits non-zero with one line per problem.
 """
@@ -42,6 +46,10 @@ DOC_FLAG_RE = re.compile(r"`(--[a-z][a-z0-9-]*)")
 CPP_FLAG_RE = re.compile(r'"(--[a-z][a-z0-9-]*)"')
 EXTRA_RE = re.compile(r'opt\.(?:flag|value)\("([a-z][a-z0-9-]*)"\)')
 PY_FLAG_RE = re.compile(r'add_argument\(\s*"(--[a-z][a-z0-9-]*)"')
+MD_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b")
+
+SOURCE_DIRS = ("src", "bench", "tests", "examples")
+SOURCE_EXTS = (".cpp", ".hpp", ".py")
 
 
 def github_slug(heading):
@@ -124,6 +132,23 @@ def check_flags(relpath, known, errors):
                         f"accepted by any parser")
 
 
+def check_cited_docs(errors):
+    for top in SOURCE_DIRS:
+        for path in sorted(glob.glob(os.path.join(ROOT, top, "**", "*"),
+                                     recursive=True)):
+            if not path.endswith(SOURCE_EXTS):
+                continue
+            here = os.path.dirname(path)
+            with open(path, encoding="utf-8") as f:
+                for lineno, line in enumerate(f, 1):
+                    for cited in MD_NAME_RE.findall(line):
+                        if not any(os.path.isfile(os.path.join(base, cited))
+                                   for base in (here, ROOT)):
+                            errors.append(
+                                f"{os.path.relpath(path, ROOT)}:{lineno}: "
+                                f"cites missing doc {cited}")
+
+
 def main():
     errors = []
     for relpath in DOC_FILES:
@@ -134,6 +159,7 @@ def main():
         if os.path.isfile(os.path.join(ROOT, relpath)):
             check_links(relpath, errors)
             check_flags(relpath, known, errors)
+    check_cited_docs(errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
