@@ -97,7 +97,9 @@ struct BackendOptions {
   DeployMode mode = DeployMode::kThreads;
 
   // --- TreadMarks backends --------------------------------------------------
-  std::size_t region_bytes = 256u << 20;        ///< shared-region size
+  /// Address space each node reserves for the shared heap, and the heap's
+  /// capacity; per-node page metadata follows the allocated heap.
+  std::size_t region_bytes = 256u << 20;
   std::size_t gc_threshold_bytes = 256u << 20;  ///< diff-store GC trigger
   bool write_all_enabled = true;  ///< WRITE_ALL twin elision (ablations)
   /// Reduction-round engine; serial is the committed-baseline default.

@@ -44,7 +44,6 @@ DsmNode::DsmNode(DsmRuntime& rt, NodeId id)
       id_(id),
       region_(rt.config().region_bytes, vm::Prot::kRead,
               rt.config().arena_base),
-      pages_(region_.num_pages()),
       vc_(rt.config().num_nodes),
       applied_vc_(rt.config().num_nodes),
       table_(rt.config().num_nodes),
@@ -78,6 +77,9 @@ const DsmConfig& DsmNode::config() const { return rt_.config(); }
 
 void DsmNode::handle_fault(void* addr, vm::FaultAccess access) {
   const PageId page = region_.page_of(addr);
+  // Region pages above the heap have no metadata and stay read-only, so
+  // only a stray write lands here.
+  SDSM_REQUIRE_MSG(page < pages_.size(), "access outside the shared heap");
   PageMeta& pm = pages_[page];
 
   // First use of a cross-step-prefetched page: the diff requests are
@@ -321,6 +323,8 @@ void DsmNode::complete_fetch(PendingFetch pf) {
       const auto npages = r.get<std::uint32_t>();
       for (std::uint32_t p = 0; p < npages; ++p) {
         const auto page = r.get<std::uint32_t>();
+        SDSM_REQUIRE_MSG(page < pages_.size(),
+                         "diff reply outside the shared heap");
         const auto nivals = r.get<std::uint32_t>();
         for (std::uint32_t s = 0; s < nivals; ++s) {
           Contribution c;
@@ -598,6 +602,9 @@ void DsmNode::process_metas(std::vector<IntervalMeta> metas) {
     SDSM_ASSERT(m.id.seq == applied_vc_.get(m.id.node) + 1);
     applied_vc_.set(m.id.node, m.id.seq);
     for (WriteNotice& wn : m.notices) {
+      // Decoded from a peer's message (a socket in process mode).
+      SDSM_REQUIRE_MSG(wn.page < pages_.size(),
+                       "write notice outside the shared heap");
       PageMeta& pm = pages_[wn.page];
       if (!pm.watchers.empty()) notice_watched_page(wn.page);
       if (policy_) {
@@ -935,6 +942,7 @@ DsmRuntime::~DsmRuntime() {
 }
 
 void DsmRuntime::run(const std::function<void(DsmNode&)>& body) {
+  running_ = true;
   std::vector<std::thread> workers;
   workers.reserve(local_ids_.size());
   for (auto& node : nodes_) {
@@ -948,6 +956,14 @@ void DsmRuntime::run(const std::function<void(DsmNode&)>& body) {
     });
   }
   for (auto& t : workers) t.join();
+  running_ = false;
+}
+
+void DsmRuntime::grow_page_tables() {
+  const std::size_t pages = (heap_.used() + page_size() - 1) / page_size();
+  for (auto& node : nodes_) {
+    if (node != nullptr) node->pages_.resize(pages);
+  }
 }
 
 void DsmRuntime::reset_stats() {
@@ -961,15 +977,15 @@ void DsmNode::reset_for_reuse() {
   // host thread.
   SDSM_REQUIRE(prefetch_.empty());
   region_.reset(vm::Prot::kRead);
-  // PageMeta owns a unique_ptr twin, so the vector cannot be assign()ed;
-  // move-assign a default into each slot instead.
-  for (auto& pm : pages_) pm = PageMeta{};
+  // The heap is empty again; alloc_global regrows the table with default
+  // metadata, which matches the freshly reset protections.
+  pages_.clear();
   vc_ = VectorClock(rt_.config().num_nodes);
   applied_vc_ = VectorClock(rt_.config().num_nodes);
   dirty_pages_.clear();
   schedules_.clear();
   // Warm engines must not carry heat, census, or directory state from one
-  // job into the next (PageMeta heat was reset with the metas above).
+  // job into the next (PageMeta heat went with the table above).
   if (policy_) policy_->reset();
   invalid_pages_ = 0;
   {
@@ -990,6 +1006,7 @@ void DsmNode::reset_for_reuse() {
 }
 
 void DsmRuntime::reset_arena() {
+  SDSM_REQUIRE_MSG(!running_, "reset_arena: run() is active");
   for (auto& node : nodes_) {
     if (node != nullptr) node->reset_for_reuse();
   }

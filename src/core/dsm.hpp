@@ -13,14 +13,16 @@
 //     TreadMarks' SIGIO request handler).
 //
 // Thread-safety contract: a node's page metadata is touched only by its
-// compute thread (including inside SIGSEGV handlers).  The interval table,
-// diff store, and lock/barrier state are shared between the node's compute
-// and service threads and guarded by meta_mu_.  Service threads never
-// block on other nodes, which rules out cross-node deadlock by
-// construction.
+// compute thread (including inside SIGSEGV handlers) and, between run()
+// calls, by the host thread, which grows it as the shared heap grows and
+// clears it at reset_arena.  The interval table, diff store, and
+// lock/barrier state are shared between the node's compute and service
+// threads and guarded by meta_mu_.  Service threads never block on other
+// nodes, which rules out cross-node deadlock by construction.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -51,6 +53,8 @@ namespace sdsm::core {
 
 struct DsmConfig {
   std::uint32_t num_nodes = 8;
+  /// Address space each node reserves for the shared heap, and the heap's
+  /// capacity.  Per-node page metadata covers only the allocated heap.
   std::size_t region_bytes = 64u << 20;
   /// kThreads (default): this runtime hosts every node in-process.
   /// kProcesses: this runtime hosts exactly `local_node`; the other nodes
@@ -323,7 +327,10 @@ class DsmNode {
 
   // --- Introspection -------------------------------------------------------
 
-  PageState page_state(PageId page) const { return pages_[page].state; }
+  PageState page_state(PageId page) const {
+    SDSM_REQUIRE_MSG(page < pages_.size(), "page outside the shared heap");
+    return pages_[page].state;
+  }
   const VectorClock& clock() const { return vc_; }
   /// Bytes of encoded diffs currently held (own + cached).  Thread-safe.
   std::size_t diff_store_bytes() {
@@ -490,6 +497,8 @@ class DsmNode {
   vm::PageRegion region_;
 
   // Compute-thread-private protocol state.
+  /// One entry per page of the shared heap; region pages above it have no
+  /// metadata (see the thread-safety contract at the top of this file).
   std::vector<PageMeta> pages_;
   VectorClock vc_;
   /// Highest interval per creator whose write notices this compute thread
@@ -569,12 +578,15 @@ class DsmRuntime {
   /// particular node to be hosted here).
   std::size_t page_size() const { return vm::system_page_size(); }
 
-  /// Allocates a shared array visible to all nodes.  Must not be called
-  /// while run() is active.  Page-aligned unless packed is true.
+  /// Allocates a shared array visible to all nodes and grows every hosted
+  /// node's page table to cover it.  Must not be called while run() is
+  /// active.  Page-aligned unless packed is true.
   template <typename T>
   GlobalArray<T> alloc_global(std::size_t count, bool packed = false) {
+    SDSM_REQUIRE_MSG(!running_, "alloc_global: run() is active");
     if (!packed) heap_.align_to_page();
     const GlobalAddr addr = heap_.alloc(count * sizeof(T), alignof(T));
+    grow_page_tables();
     return GlobalArray<T>{addr, count};
   }
 
@@ -603,8 +615,8 @@ class DsmRuntime {
   /// Returns the arena to its just-constructed state so the runtime can be
   /// reused for another independent kernel: frees every allocation, zeroes
   /// and re-protects every node's region (punching holes so physical pages
-  /// are released), and clears all per-node protocol state — clocks,
-  /// interval tables, diff stores, schedules, lock/barrier managers.
+  /// are released), and clears all per-node protocol state — page tables,
+  /// clocks, interval tables, diff stores, schedules, lock/barrier managers.
   /// Transport, service threads, and cumulative statistics survive.  Must
   /// only be called between run() invocations (no compute threads live, no
   /// sync operation in flight).
@@ -613,6 +625,9 @@ class DsmRuntime {
  private:
   friend class DsmNode;
 
+  /// Grows every hosted node's page table to the heap's page count.
+  void grow_page_tables();
+
   DsmConfig config_;
   std::unique_ptr<net::Transport> net_;
   DsmStats stats_;
@@ -620,6 +635,9 @@ class DsmRuntime {
   /// Indexed by NodeId; non-hosted slots are null in process mode.
   std::vector<std::unique_ptr<DsmNode>> nodes_;
   std::vector<NodeId> local_ids_;
+  /// Set while run()'s compute threads are live: the page tables they use
+  /// must not be resized or cleared under them.
+  std::atomic<bool> running_{false};
 };
 
 }  // namespace sdsm::core

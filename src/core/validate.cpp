@@ -63,8 +63,12 @@ bool whole_section_write(Access a) {
 }  // namespace
 
 std::vector<PageId> DsmNode::direct_pages(const AccessDescriptor& desc) const {
-  return desc.section.pages(desc.data_base, desc.data_elem_size,
-                            desc.data_layout, region_.page_size());
+  std::vector<PageId> pages = desc.section.pages(
+      desc.data_base, desc.data_elem_size, desc.data_layout,
+      region_.page_size());
+  SDSM_REQUIRE_MSG(pages.empty() || pages.back() < pages_.size(),
+                   "Validate: section outside the shared heap");
+  return pages;
 }
 
 std::vector<PageId> DsmNode::read_indices(const AccessDescriptor& desc) {
@@ -75,13 +79,15 @@ std::vector<PageId> DsmNode::read_indices(const AccessDescriptor& desc) {
   // Dedup through a page bitmap: the scan over the indirection array is the
   // cost the paper compares against the CHAOS inspector, so it must stay a
   // tight loop (one load, one shift, one or per index).
-  std::vector<std::uint64_t> bits((region_.num_pages() + 63) / 64, 0);
+  std::vector<std::uint64_t> bits((pages_.size() + 63) / 64, 0);
+  const GlobalAddr heap_end = pages_.size() * ps;
   const auto mark = [&](std::int32_t v) {
     SDSM_ASSERT(v >= 0);
     const GlobalAddr lo =
         desc.data_base + static_cast<GlobalAddr>(v) * desc.data_elem_size;
     const GlobalAddr hi = lo + desc.data_elem_size - 1;
-    SDSM_ASSERT(hi < region_.size());
+    SDSM_REQUIRE_MSG(hi < heap_end,
+                     "Validate: indirection value outside the shared heap");
     for (GlobalAddr a = lo / ps; a <= hi / ps; ++a) {
       bits[a >> 6] |= std::uint64_t{1} << (a & 63);
     }
@@ -110,6 +116,8 @@ void DsmNode::watch_indirection_pages(const AccessDescriptor& desc,
                                       std::uint32_t schedule) {
   const auto ind_pages = desc.section.pages(
       desc.ind_base, sizeof(std::int32_t), desc.ind_layout, region_.page_size());
+  SDSM_REQUIRE_MSG(ind_pages.empty() || ind_pages.back() < pages_.size(),
+                   "Validate: indirection array outside the shared heap");
   for (const PageId page : ind_pages) {
     PageMeta& pm = pages_[page];
     if (std::find(pm.watchers.begin(), pm.watchers.end(), schedule) ==

@@ -42,7 +42,9 @@ struct ServerConfig {
   std::size_t workers = 2;         ///< job worker threads (min 1)
   std::size_t queue_capacity = 8;  ///< admission bound (backpressure)
   std::size_t cache_entries = 32;  ///< ScheduleCache capacity (LRU)
-  std::size_t region_bytes = 256u << 20;  ///< Tmk shared-region size
+  /// Address space each Tmk node reserves for the shared heap, and the
+  /// heap's capacity; per-node page metadata follows the allocated heap.
+  std::size_t region_bytes = 256u << 20;
   net::WireModel wire{};  ///< simulated cost model (in-proc transports)
   bool listen = false;    ///< open the 127.0.0.1 control socket
 };

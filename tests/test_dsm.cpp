@@ -3,7 +3,10 @@
 // protocol under false sharing, and message accounting.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <fstream>
 #include <numeric>
 
 #include "src/core/dsm.hpp"
@@ -16,6 +19,31 @@ DsmConfig small_config(std::uint32_t nodes) {
   cfg.num_nodes = nodes;
   cfg.region_bytes = 1u << 20;  // 1 MB
   return cfg;
+}
+
+// Sanitizer runtimes shadow every touched byte and quarantine freed
+// memory, so under them a resident-size delta measures the sanitizer, not
+// the runtime: resident bounds are checked in uninstrumented builds only.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kResidentBoundsHold = false;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kResidentBoundsHold = false;
+#else
+constexpr bool kResidentBoundsHold = true;
+#endif
+#else
+constexpr bool kResidentBoundsHold = true;
+#endif
+
+/// Resident set size of this process in MB (/proc/self/statm).
+double resident_mb() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size = 0;
+  std::size_t resident = 0;
+  statm >> size >> resident;
+  return static_cast<double>(resident) *
+         static_cast<double>(sysconf(_SC_PAGESIZE)) / (1 << 20);
 }
 
 TEST(Dsm, SingleNodeReadWrite) {
@@ -327,6 +355,82 @@ TEST(Dsm, WireModelRunStillCorrect) {
     self.barrier();
     for (int i = 0; i < 2048; ++i) EXPECT_EQ(p[i], i ^ 0x55);
   });
+}
+
+// Per-node page metadata covers the allocated heap, not the reserved
+// region: four nodes over a 256 MB region would otherwise zero 65,536
+// PageMetas each (~18.8 MB) before the first allocation.  The table grows
+// with alloc_global, and reset_arena leaves it for a smaller job to regrow.
+TEST(Dsm, PageMetadataFollowsTheHeap) {
+  constexpr std::uint32_t kNodes = 4;
+  DsmConfig cfg;
+  cfg.num_nodes = kNodes;
+  cfg.region_bytes = 256u << 20;
+  const double before = resident_mb();
+  DsmRuntime rt(cfg);
+  if (kResidentBoundsHold) {
+    EXPECT_LT(resident_mb() - before, 2.0);
+  }
+
+  // Every node writes its block of the array, then reads all of it back.
+  const auto round = [&](std::size_t pages) {
+    const std::size_t n = pages * rt.page_size() / sizeof(int);
+    const auto arr = rt.alloc_global<int>(n);
+    std::atomic<std::size_t> wrong{0};
+    rt.run([&](DsmNode& self) {
+      int* p = self.ptr(arr);
+      for (std::size_t i = self.id() * n / kNodes;
+           i < (self.id() + 1) * n / kNodes; ++i) {
+        p[i] = static_cast<int>(3 * i + 1);
+      }
+      self.barrier();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (p[i] != static_cast<int>(3 * i + 1)) ++wrong;
+      }
+    });
+    return wrong.load();
+  };
+  EXPECT_EQ(round(100), 0u);
+  // The round's own data is ~7 MB: both views of four copies of 100 pages
+  // (3.2 MB) plus the diff stores.  Region-sized tables would add 18.8.
+  if (kResidentBoundsHold) {
+    EXPECT_LT(resident_mb() - before, 12.0);
+  }
+
+  rt.reset_arena();
+  EXPECT_EQ(rt.shared_bytes_used(), 0u);
+  EXPECT_EQ(round(10), 0u);
+  EXPECT_EQ(rt.node(1).page_state(9), PageState::kReadOnly);
+}
+
+// The guards the growing table needs.  A write above the heap has no
+// metadata to twin; alloc_global inside run() would resize tables under
+// live compute threads.
+void write_one_page_above_the_heap() {
+  DsmRuntime rt(small_config(2));
+  rt.alloc_global<int>(100);
+  const GlobalArray<int> stray{rt.shared_bytes_used() + rt.page_size(), 1};
+  rt.run([&](DsmNode& self) {
+    if (self.id() == 0) *self.ptr(stray) = 1;
+  });
+}
+
+void alloc_inside_run() {
+  DsmRuntime rt(small_config(2));
+  rt.run([&](DsmNode& self) {
+    if (self.id() == 0) rt.alloc_global<int>(1);
+  });
+}
+
+TEST(DsmDeathTest, WriteAboveTheHeapAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(write_one_page_above_the_heap(),
+               "access outside the shared heap");
+}
+
+TEST(DsmDeathTest, AllocInsideRunAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(alloc_inside_run(), "alloc_global: run\\(\\) is active");
 }
 
 }  // namespace

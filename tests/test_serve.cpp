@@ -186,13 +186,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Two different jobs back to back on one Tmk engine: the second must see a
 // pristine arena (different kernel, different graph, different checksum
-// lineage) and still match its own one-shot baseline exactly.
+// lineage) and still match its own one-shot baseline exactly.  The first
+// job's shared heap is the larger (spmv over 8192 rows spans 228 pages,
+// pagerank over 2048 vertices 44), so the page table reset_arena cleared
+// held metadata above the second job's heap, none of which may leak.
 TEST(ServeIsolation, ArenaResetBetweenDifferentJobs) {
   KernelServer server(small_server());
   Client client = Client::in_proc(server);
 
-  const JobStats first = client.run(
-      spmv_request(api::Backend::kTmkOptimized, net::TransportKind::kInProc));
+  JobRequest big =
+      spmv_request(api::Backend::kTmkOptimized, net::TransportKind::kInProc);
+  big.graph.num_elements = 8192;
+  const JobStats first = client.run(big);
   ASSERT_TRUE(first.ok) << first.error;
 
   JobRequest pr;
@@ -213,6 +218,7 @@ TEST(ServeIsolation, ArenaResetBetweenDifferentJobs) {
       api::Backend::kTmkOptimized, p, apps::pagerank::default_options());
   EXPECT_EQ(one.checksum, second.checksum);
   EXPECT_EQ(one.messages, second.messages);
+  EXPECT_EQ(one.megabytes, second.megabytes);
 }
 
 // --- Engine keying: coherence ----------------------------------------------
