@@ -375,8 +375,7 @@ void add_proc_rows(harness::Table& table,
     req.backend = b;
 
     const serve::PreparedJob prepared = serve::prepare_job(req, kProcNodes);
-    api::BackendOptions opts = prepared.base_options;
-    opts.transport = net::TransportKind::kSocket;
+    const api::BackendOptions& opts = prepared.base_options;
     const api::KernelResult tr = api::run_kernel(b, prepared.spec, opts);
 
     proc::LaunchOptions lopt;

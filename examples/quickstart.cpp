@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
 
   api::BackendOptions options = apps::quickstart::default_options();
   options.transport = opt.transport;
-  options.mode = opt.mode;
   options.coherence = opt.coherence;
 
   serve::JobRequest req;  // the process-mode job description
@@ -48,7 +47,7 @@ int main(int argc, char** argv) {
   bool failed = false;
   for (const api::Backend b : opt.backends) {
     api::KernelResult r;
-    if (options.mode == DeployMode::kProcesses) {
+    if (opt.mode == DeployMode::kProcesses) {
       if (b == api::Backend::kChaos) {
         std::printf("%-14s %12s\n", api::backend_name(b),
                     "(threads-only)");
@@ -72,7 +71,7 @@ int main(int argc, char** argv) {
                 r.checksum, static_cast<unsigned long long>(r.messages),
                 r.megabytes, r.overhead_seconds);
   }
-  if (options.mode == DeployMode::kProcesses) {
+  if (opt.mode == DeployMode::kProcesses) {
     std::printf("\nEach row above ran as %u real worker processes with "
                 "cross-process page\nfaults; counts match the threaded "
                 "socket run exactly.\n", params.nprocs);

@@ -38,12 +38,7 @@ serve::JobRequest job_for(api::Backend b, coherence::CoherencePolicy c) {
 /// materialization, same socket fabric, nodes as threads.
 api::KernelResult run_threaded(const serve::JobRequest& req) {
   const serve::PreparedJob prepared = serve::prepare_job(req, kNprocs);
-  api::BackendOptions options = prepared.base_options;
-  options.transport = net::TransportKind::kSocket;
-  options.round_schedule = req.schedule;
-  options.cross_step_prefetch = req.cross_step_prefetch;
-  options.coherence = req.coherence;
-  return api::run_kernel(req.backend, prepared.spec, options);
+  return api::run_kernel(req.backend, prepared.spec, prepared.base_options);
 }
 
 void print_row(const char* label, const api::KernelResult& r) {

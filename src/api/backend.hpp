@@ -23,10 +23,10 @@ enum class Backend : std::uint8_t {
   kChaos,         ///< CHAOS-style message passing: inspector/executor
   kTmkBase,       ///< TreadMarks DSM, demand paging only
   kTmkOptimized,  ///< TreadMarks DSM + compiler-driven Validate aggregation
-  /// Mixed per-region assignment (src/api/plan/): the state partition
-  /// stays under the Tmk page protocol while the indirection-driven reads
-  /// and reductions are resolved by inspector-built schedules riding the
-  /// DSM's application-data plane.
+  /// The state partition stays under the Tmk page protocol while the
+  /// indirection-driven reads and reductions are resolved by
+  /// inspector-built schedules riding the DSM's application-data plane
+  /// (src/api/plan/dsm_driver.hpp).
   kHybrid,
 };
 
@@ -89,18 +89,11 @@ struct BackendOptions {
   net::TransportKind transport = net::TransportKind::kInProc;
   /// Simulated interconnect cost model (in-process transport only).
   net::WireModel wire{};
-  /// Nodes as threads of this process (default) or as spawned worker
-  /// processes (sdsm::proc).  The api layer itself always executes in the
-  /// current process; process-mode runs are launched by proc::run_job,
-  /// which the examples/benches route to when this knob says kProcesses.
-  /// Tmk backends only — CHAOS is not deployed multi-process.
-  DeployMode mode = DeployMode::kThreads;
 
   // --- TreadMarks backends --------------------------------------------------
   /// Address space each node reserves for the shared heap, and the heap's
   /// capacity; per-node page metadata follows the allocated heap.
   std::size_t region_bytes = 256u << 20;
-  std::size_t gc_threshold_bytes = 256u << 20;  ///< diff-store GC trigger
   bool write_all_enabled = true;  ///< WRITE_ALL twin elision (ablations)
   /// Reduction-round engine; serial is the committed-baseline default.
   RoundSchedule round_schedule = RoundSchedule::kSerial;

@@ -2,10 +2,10 @@
 
 #include "src/api/plan/msg_driver.hpp"
 
-// The inspector/executor step loop and accounting that used to live here
-// as a monolith are now the shared plan layer: plan::run_msg drives the
-// all-message assignment (both regions under kInspectorGather) through the
-// one StepDriver.  This file only adapts the IrregularRuntime surface.
+// The inspector/executor step loop and accounting live in the plan layer:
+// plan::run_msg drives the all-message backend (state and indirection both
+// under the inspector) through the one StepDriver.  This file only adapts
+// the IrregularRuntime surface.
 
 namespace sdsm::api {
 

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,12 +44,6 @@
 #include "src/partition/partition.hpp"
 
 namespace sdsm::api {
-
-namespace plan {
-// Complete upon declaration (fixed underlying type); the full vocabulary
-// lives in src/api/plan/plan.hpp and is needed only by hybrid callers.
-enum class AccessStrategy : std::uint8_t;
-}  // namespace plan
 
 /// Per-node handle the kernel callbacks receive.  Backends implement it
 /// over DsmNode / ChaosNode.
@@ -216,12 +209,6 @@ struct KernelSpec {
   /// then materialize a coherent global view first (Validate prefetch /
   /// allgather).  Static structures leave it false.
   bool rebuild_reads_state = false;
-
-  /// Declared AccessStrategy for the indirection region under
-  /// Backend::kHybrid (ignored by the fixed-assignment backends).  When
-  /// unset, the hybrid driver derives the strategy from the write census
-  /// of the state layout it would allocate (plan::classify_indirection).
-  std::optional<plan::AccessStrategy> indirection_strategy;
 
   /// True when build_items is a pure function of (node, step-ordinal,
   /// all_x-at-that-ordinal) — i.e. re-running the kernel over the same

@@ -8,7 +8,6 @@
 #include "src/api/plan/dsm_exchange.hpp"
 #include "src/api/plan/fold.hpp"
 #include "src/api/plan/inspector_gather.hpp"
-#include "src/api/plan/plan.hpp"
 #include "src/api/plan/step_driver.hpp"
 #include "src/common/timer.hpp"
 #include "src/common/vec.hpp"
@@ -156,7 +155,7 @@ TournamentPlan build_tournament_plan(
 }
 
 // ---------------------------------------------------------------------------
-// run_strategies: the one runner of every DSM-substrate plan.
+// run_strategies: the one runner of every DSM-substrate backend.
 // ---------------------------------------------------------------------------
 
 /// Runs the warmup and timed sections over each hosted node's strategy
@@ -263,8 +262,8 @@ KernelResult run_strategies(
 }
 
 // ---------------------------------------------------------------------------
-// run_page_dsm: both regions under the page protocol (kTmkBase/kTmkOpt,
-// and a kHybrid whose planner kept the indirection region on kPageDsm).
+// run_page_dsm: both regions under the page protocol (kTmkBase and
+// kTmkOptimized).
 // ---------------------------------------------------------------------------
 
 /// The shared allocations of one page-protocol run, and the phases every
@@ -384,10 +383,9 @@ struct PageDsm {
         .read();
   }
 
-  // --- AccessStrategy::kPageDsm, Region::kIndirection: the structure
-  // rebuild.  The whole-state read arrives by aggregated Validate
-  // (optimized) or demand paging (base); the rebuilt reference list is
-  // published through the shared LIST slice.
+  // --- The structure rebuild.  The whole-state read arrives by
+  // aggregated Validate (optimized) or demand paging (base); the rebuilt
+  // reference list is published through the shared LIST slice.
   void rebuild(Node& st) {
     core::DsmNode& self = st.self;
     const NodeId me = self.id();
@@ -491,7 +489,7 @@ struct PageDsm {
     }
   }
 
-  // --- AccessStrategy::kPageDsm, both regions: the computational step.
+  // --- The computational step.
   // Indirection reads fault in (base) or arrive by compiler-lowered
   // Validate (optimized); the reduction flows through the shared f array
   // under the selected round schedule; the owner update writes the state
@@ -744,9 +742,10 @@ struct PageDsm {
 template <typename T>
 KernelResult run_page_dsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
                           RunSession* session, const BackendOptions& options,
-                          std::uint32_t nprocs, bool optimized, Backend kind) {
+                          std::uint32_t nprocs, Backend kind) {
   const DsmStats::Snapshot stats_entry = rt.stats().snapshot();
-  PageDsm<T> run(rt, spec, session, options, nprocs, optimized);
+  PageDsm<T> run(rt, spec, session, options, nprocs,
+                 /*optimized=*/kind == Backend::kTmkOptimized);
   std::vector<std::unique_ptr<typename PageDsm<T>::Node>> nodes(nprocs);
 
   // Node 0 seeds the shared state before the (un)timed sections.
@@ -762,8 +761,8 @@ KernelResult run_page_dsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
 }
 
 // ---------------------------------------------------------------------------
-// run_hybrid: the mixed assignment.  Region::kState under kPageDsm,
-// Region::kIndirection under kInspectorGather.
+// run_hybrid (kHybrid): the state under the page protocol, the
+// indirection reads and reductions under inspector schedules.
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -772,17 +771,15 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
                         std::uint32_t nprocs) {
   SDSM_REQUIRE_MSG(
       options.coherence == coherence::CoherencePolicy::kStatic,
-      "hybrid backend: adaptive coherence is not supported (the write "
-      "census is consumed at plan time instead)");
+      "hybrid backend: adaptive coherence is not supported (hybrid runs "
+      "under static coherence only)");
 
   const DsmStats::Snapshot stats_entry = rt.stats().snapshot();
 
-  // Region::kState under the page protocol, laid out as per-node
-  // page-aligned slices: every page of the state has exactly one writer —
-  // its owner — which is precisely the single-writer census that sends the
-  // indirection region to the inspector (plan::classify_indirection), and
-  // what makes the owner's WRITE_ALL update twin-free with no boundary-page
-  // cross-invalidation.
+  // The state under the page protocol, laid out as per-node page-aligned
+  // slices: every page of the state has exactly one writer — its owner —
+  // which makes the owner's WRITE_ALL update twin-free with no
+  // boundary-page cross-invalidation.
   std::vector<core::GlobalArray<T>> xs(nprocs);
   std::vector<rsd::ArrayLayout> slice_layout(nprocs);
   for (std::uint32_t q = 0; q < nprocs; ++q) {
@@ -797,7 +794,7 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
         .elements(0, spec.owner_range[q].size() - 1);
   };
 
-  // Region::kIndirection under the inspector: same translation table the
+  // The indirection under the inspector: same translation table the
   // message driver builds (and caches through the session).
   const std::shared_ptr<const chaos::TranslationTable> table =
       table_for(spec.owner_range, options.table, session);
@@ -863,7 +860,7 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// run_dsm: resolve the plan, dispatch.
+// run_dsm: dispatch on the backend kind.
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -882,24 +879,10 @@ KernelResult run_dsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
   SDSM_REQUIRE_MSG(rt.shared_bytes_used() == 0,
                    "run_dsm: runtime arena not reset");
 
-  ExecutionPlan p = plan_for(kind);
   if (kind == Backend::kHybrid) {
-    if (spec.indirection_strategy.has_value()) {
-      p.indirection = *spec.indirection_strategy;
-    } else {
-      // Derive from the write census of the state layout the hybrid would
-      // allocate: page-aligned per-node slices are single-writer, so this
-      // normally resolves to kInspectorGather; a spec whose layout folds
-      // multi-writer pages falls back to the pure page-protocol path.
-      p.indirection = classify_indirection(
-          census_for_layout(spec.owner_range, sizeof(T), rt.page_size()));
-    }
-  }
-  if (p.mixed()) {
     return run_hybrid(rt, spec, session, options, num_nodes);
   }
-  return run_page_dsm(rt, spec, session, options, num_nodes,
-                      p.validate_aggregation, kind);
+  return run_page_dsm(rt, spec, session, options, num_nodes, kind);
 }
 
 // TmkBackend exposes exactly these element types.

@@ -1,9 +1,9 @@
-// InspectorGather: the one copy of AccessStrategy::kInspectorGather.
+// InspectorGather: the one copy of the inspector/executor strategy.
 //
 // One node's inspector/executor strategy, written against a
 // chaos::ExchangeNode so it runs unchanged on the CHAOS fabric (run_msg,
-// both regions under the inspector) and over a DSM node's app-data plane
-// (run_hybrid, the indirection region only).  It owns the per-node state
+// state and indirection both under the inspector) and over a DSM node's
+// app-data plane (run_hybrid, the indirection only).  It owns the per-node state
 // and every phase:
 //
 //  - rebuild: the structure builder, then the inspector (build_schedule +

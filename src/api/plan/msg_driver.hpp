@@ -1,5 +1,5 @@
-// The message-substrate driver: both regions under
-// AccessStrategy::kInspectorGather (the CHAOS assignment).
+// The message-substrate driver: the CHAOS backend, state and indirection
+// both under the inspector/executor.
 //
 // run_msg is a thin runner over the shared InspectorGather strategy
 // (plan/inspector_gather.hpp) with neither hook set: rebuild state reads

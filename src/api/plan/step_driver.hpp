@@ -2,16 +2,15 @@
 //
 // drive_steps() is the rebuild-cadence / step-execution / convergence loop
 // of every backend, parameterized by a per-node Strategy object that knows
-// how one region assignment (plan::ExecutionPlan) realizes each phase.  A
-// Strategy is a NodeTally (the per-node bookkeeping below) with three
-// phase methods:
+// how one backend realizes each phase.  A Strategy is a NodeTally (the
+// per-node bookkeeping below) with three phase methods:
 //
 //   void rebuild(int global_step);
 //       Structure (re)build for this step.  Called only when
 //       spec.rebuild_needed(global_step) says so.
 //   void execute_step(int global_step);
 //       The computational step: gather/compute/reduce/update under the
-//       plan's strategies.
+//       backend's strategy.
 //   bool finish_step(int global_step, bool last_in_section);
 //       Step epilogue — convergence verdict exchange, step barrier, any
 //       cross-step prefetch (suppressed when last_in_section).  Returns

@@ -14,15 +14,9 @@ std::unique_ptr<IrregularRuntime> make_runtime(Backend backend,
     case Backend::kChaos:
       return std::make_unique<ChaosBackend>(num_nodes, options);
     case Backend::kTmkBase:
-      return std::make_unique<TmkBackend>(num_nodes, /*optimized=*/false,
-                                          options);
     case Backend::kTmkOptimized:
-      return std::make_unique<TmkBackend>(num_nodes, /*optimized=*/true,
-                                          options);
     case Backend::kHybrid:
-      // DSM substrate with the mixed per-region plan (src/api/plan/).
-      return std::make_unique<TmkBackend>(num_nodes, Backend::kHybrid,
-                                          options);
+      return std::make_unique<TmkBackend>(num_nodes, backend, options);
   }
   SDSM_UNREACHABLE("unknown backend");
 }

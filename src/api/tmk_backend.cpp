@@ -1,14 +1,23 @@
 #include "src/api/tmk_backend.hpp"
 
 #include "src/api/plan/dsm_driver.hpp"
+#include "src/common/assert.hpp"
 
-// The step loop, access strategies, and accounting that used to live here
-// as a monolith are now the shared plan layer: plan::run_dsm drives every
-// DSM-substrate backend (base, optimized, hybrid) through the one
-// StepDriver, dispatching per region on the resolved ExecutionPlan.  This
-// file only adapts the IrregularRuntime surface.
+// The step loop, strategies, and accounting live in the plan layer:
+// plan::run_dsm drives every DSM-substrate backend (base, optimized,
+// hybrid) through the one StepDriver, dispatching on the backend kind.
+// This file only adapts the IrregularRuntime surface.
 
 namespace sdsm::api {
+
+TmkBackend::TmkBackend(std::uint32_t num_nodes, Backend kind,
+                       BackendOptions options)
+    : num_nodes_(num_nodes), kind_(kind), options_(options) {
+  SDSM_REQUIRE_MSG(kind == Backend::kTmkBase ||
+                       kind == Backend::kTmkOptimized ||
+                       kind == Backend::kHybrid,
+                   "TmkBackend: not a DSM backend kind");
+}
 
 core::DsmConfig TmkBackend::dsm_config(std::uint32_t num_nodes,
                                        const BackendOptions& options) {
@@ -17,7 +26,6 @@ core::DsmConfig TmkBackend::dsm_config(std::uint32_t num_nodes,
   cfg.region_bytes = options.region_bytes;
   cfg.transport = options.transport;
   cfg.wire = options.wire;
-  cfg.gc_threshold_bytes = options.gc_threshold_bytes;
   cfg.write_all_enabled = options.write_all_enabled;
   cfg.coherence = options.coherence;
   return cfg;

@@ -21,15 +21,9 @@ struct RunSession;
 
 class TmkBackend final : public IrregularRuntime {
  public:
-  TmkBackend(std::uint32_t num_nodes, bool optimized, BackendOptions options)
-      : TmkBackend(num_nodes,
-                   optimized ? Backend::kTmkOptimized : Backend::kTmkBase,
-                   options) {}
-
   /// Any DSM-substrate backend kind: kTmkBase, kTmkOptimized, or kHybrid
-  /// (the mixed per-region plan — see src/api/plan/dsm_driver.hpp).
-  TmkBackend(std::uint32_t num_nodes, Backend kind, BackendOptions options)
-      : num_nodes_(num_nodes), kind_(kind), options_(options) {}
+  /// (see src/api/plan/dsm_driver.hpp).  kChaos is a precondition failure.
+  TmkBackend(std::uint32_t num_nodes, Backend kind, BackendOptions options);
 
   Backend backend() const override { return kind_; }
   std::uint32_t num_nodes() const override { return num_nodes_; }

@@ -34,27 +34,25 @@ inline std::optional<CoherencePolicy> parse_coherence_policy(
   return std::nullopt;
 }
 
-/// Thresholds of the policy engine.  Every node evaluates the same census
-/// with the same tuning, so the values only need to be consistent across
-/// the run — they are part of DsmConfig for that reason.
-struct CoherenceTuning {
-  /// Consecutive write epochs a sole writer must sustain before its page
-  /// is replicated.  Below this, a page that is written once and then
-  /// only read still pays one fetch round per reader.
-  std::uint32_t repl_epochs = 2;
+// Thresholds of the policy engine.  Every node must evaluate the census
+// with identical thresholds, so they are constants of the build.
 
-  /// Ownership hysteresis for migrated pages: a challenger takes the page
-  /// only when challenger_score * den > incumbent_score * num.  The
-  /// default 3/1 tolerates writers that alternate epoch-by-epoch (scores
-  /// halve per idle epoch, so an alternating rival peaks below 3x) while
-  /// a genuine hand-off overtakes the decaying incumbent within a couple
-  /// of epochs.
-  std::uint32_t migrate_num = 3;
-  std::uint32_t migrate_den = 1;
+/// Consecutive write epochs a sole writer must sustain before its page is
+/// replicated.  Below this, a page that is written once and then only read
+/// still pays one fetch round per reader.
+inline constexpr std::uint32_t kReplEpochs = 2;
 
-  /// Epochs a schedule's indirection pages must stay untouched before the
-  /// schedule is promoted to a ghost zone.
-  std::uint32_t ghost_epochs = 3;
-};
+/// Ownership hysteresis for migrated pages: a challenger takes the page
+/// only when challenger_score * kMigrateDen > incumbent_score *
+/// kMigrateNum.  3/1 tolerates writers that alternate epoch-by-epoch
+/// (scores halve per idle epoch, so an alternating rival peaks below 3x)
+/// while a genuine hand-off overtakes the decaying incumbent within a
+/// couple of epochs.
+inline constexpr std::uint32_t kMigrateNum = 3;
+inline constexpr std::uint32_t kMigrateDen = 1;
+
+/// Epochs a schedule's indirection pages must stay untouched before the
+/// schedule is promoted to a ghost zone.
+inline constexpr std::uint32_t kGhostEpochs = 3;
 
 }  // namespace sdsm::coherence

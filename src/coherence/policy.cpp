@@ -35,7 +35,7 @@ PolicyEngine::TickResult PolicyEngine::tick() {
       // keeps a replicated page replicated across epochs where the owner
       // happens not to write.
       const WriteCensus::WriterScore& w = ws.front();
-      if (w.streak >= tuning_.repl_epochs || prev != dir_.end()) {
+      if (w.streak >= kReplEpochs || prev != dir_.end()) {
         next = DirEntry{PageClass::kReplicated, w.node};
       }
     } else {
@@ -61,8 +61,8 @@ PolicyEngine::TickResult PolicyEngine::tick() {
                            return w.node == inc;
                          });
         if (inc_it != ws.end() &&
-            best_score * tuning_.migrate_den <=
-                score_at(*inc_it, epoch_) * tuning_.migrate_num) {
+            best_score * kMigrateDen <=
+                score_at(*inc_it, epoch_) * kMigrateNum) {
           owner = inc;
         }
       }

@@ -35,8 +35,7 @@ enum class PageClass : std::uint8_t {
 
 class PolicyEngine {
  public:
-  PolicyEngine(NodeId self, CoherenceTuning tuning)
-      : self_(self), tuning_(tuning) {}
+  explicit PolicyEngine(NodeId self) : self_(self) {}
 
   std::uint32_t epoch() const { return epoch_; }
 
@@ -88,7 +87,6 @@ class PolicyEngine {
   };
 
   NodeId self_;
-  CoherenceTuning tuning_;
   std::uint32_t epoch_ = 0;
   WriteCensus census_;
   std::unordered_map<PageId, DirEntry> dir_;

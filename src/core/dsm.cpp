@@ -50,8 +50,7 @@ DsmNode::DsmNode(DsmRuntime& rt, NodeId id)
       last_seen_vc_(rt.config().num_nodes,
                     VectorClock(rt.config().num_nodes)) {
   if (rt.config().coherence == coherence::CoherencePolicy::kAdaptive) {
-    policy_ = std::make_unique<coherence::PolicyEngine>(
-        id, rt.config().coherence_tuning);
+    policy_ = std::make_unique<coherence::PolicyEngine>(id);
   }
   vm::FaultDispatcher::instance().register_region(
       region_.base(), region_.size(),

@@ -89,7 +89,6 @@ struct DsmConfig {
   /// protocol — and its wire traffic — byte-identical to the baseline.
   /// Adaptive runs are barrier-only: lock_acquire rejects the combination.
   coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
-  coherence::CoherenceTuning coherence_tuning{};
 };
 
 // ---------------------------------------------------------------------------
@@ -221,7 +220,7 @@ struct ScheduleState {
   bool indirection_changed = false;
   std::vector<PageId> pages;
   /// Adaptive coherence: consecutive validate epochs the schedule stayed
-  /// ready (no recompute).  At CoherenceTuning::ghost_epochs the schedule
+  /// ready (no recompute).  At coherence::kGhostEpochs the schedule
   /// becomes a ghost zone: read-only validates skip its page scan
   /// entirely while the node holds no invalid pages.  Any indirection
   /// change demotes it through the normal recompute path.

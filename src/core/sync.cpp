@@ -166,9 +166,9 @@ void DsmNode::barrier() {
 void DsmNode::coherence_tick() {
   // One policy epoch per barrier(), ticked after release processing so
   // every node has folded exactly the same set of intervals (a GC's inner
-  // round folds before the tick too).  Identical census + identical
-  // tuning => identical classification on every node, with no directory
-  // traffic.
+  // round folds before the tick too).  Identical census + the same
+  // constant thresholds => identical classification on every node, with
+  // no directory traffic.
   const coherence::PolicyEngine::TickResult tr = policy_->tick();
   if (tr.migrations > 0) stats().migrations.add(tr.migrations);
 

@@ -309,8 +309,7 @@ void DsmNode::validate(const std::vector<AccessDescriptor>& descs) {
         bumped.push_back(descs[i].schedule);
         ScheduleState& sch = it->second;
         ++sch.epochs_stable;
-        if (!sch.ghost &&
-            sch.epochs_stable >= config().coherence_tuning.ghost_epochs) {
+        if (!sch.ghost && sch.epochs_stable >= coherence::kGhostEpochs) {
           sch.ghost = true;
           stats().ghost_promotions.add(1);
         }

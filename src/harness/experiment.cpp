@@ -54,8 +54,7 @@ constexpr RowColumn kRowColumns[] = {
 
 }  // namespace
 
-Table::Table(std::string title, std::vector<std::string> /*extra_columns*/)
-    : title_(std::move(title)) {}
+Table::Table(std::string title) : title_(std::move(title)) {}
 
 void Table::add(Row row) { rows_.push_back(std::move(row)); }
 

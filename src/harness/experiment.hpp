@@ -69,7 +69,7 @@ struct Row {
 
 class Table {
  public:
-  Table(std::string title, std::vector<std::string> extra_columns = {});
+  explicit Table(std::string title);
 
   void add(Row row);
   const std::vector<Row>& rows() const { return rows_; }

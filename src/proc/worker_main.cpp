@@ -126,9 +126,8 @@ int main(int argc, char** argv) {
          "CHAOS backend is not deployed multi-process (Tmk only)",
          kExitBadJob);
   }
-  if (!serve::known_kernel(req.kernel)) {
-    fail(report_path, node, "unknown kernel '" + req.kernel + "'",
-         kExitBadJob);
+  if (const std::string error = serve::request_error(req); !error.empty()) {
+    fail(report_path, node, error, kExitBadJob);
   }
 
   if (hook_hits("SDSM_PROC_TEST_STALL_NODE", node)) {
@@ -138,15 +137,11 @@ int main(int argc, char** argv) {
   }
 
   // Materialize the job exactly as the serving layer would, then force
-  // the substrate knobs proc mode fixes: real sockets (run_impl checks
-  // the runtime and options agree) and kProcesses bookkeeping.
+  // the transport proc mode fixes: real sockets (run_dsm checks the
+  // runtime and options agree).
   const serve::PreparedJob prepared = serve::prepare_job(req, nprocs);
   api::BackendOptions options = prepared.base_options;
   options.transport = net::TransportKind::kSocket;
-  options.mode = DeployMode::kProcesses;
-  options.round_schedule = req.schedule;
-  options.cross_step_prefetch = req.cross_step_prefetch;
-  options.coherence = req.coherence;
 
   core::DsmConfig cfg = api::TmkBackend::dsm_config(nprocs, options);
   proc::RendezvousResult rdv = proc::rendezvous(

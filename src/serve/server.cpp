@@ -68,9 +68,8 @@ struct KernelServer::TmkEngine final : Engine {
 };
 
 struct KernelServer::ChaosEngine final : Engine {
-  ChaosEngine(std::uint32_t nprocs, net::WireModel wire,
-              net::TransportKind transport)
-      : nprocs(nprocs), rt(nprocs, wire, transport) {}
+  ChaosEngine(std::uint32_t nprocs, const api::BackendOptions& opts)
+      : nprocs(nprocs), rt(nprocs, opts.wire, opts.transport) {}
 
   std::uint32_t nprocs;
   chaos::ChaosRuntime rt;  ///< warm fabric; per-run node state is fresh
@@ -83,22 +82,13 @@ struct KernelServer::ChaosEngine final : Engine {
   }
 };
 
-api::BackendOptions KernelServer::overlay(api::BackendOptions base,
-                                          net::TransportKind transport) const {
-  // The fields an engine's substrate is built from must agree between
-  // engine construction and every job run on it; the workload's
-  // base_options contribute only substrate-independent knobs (CHAOS table
-  // kind).
-  base.transport = transport;
-  base.wire = cfg_.wire;
-  base.region_bytes = cfg_.region_bytes;
-  return base;
-}
-
-KernelServer::Engine& KernelServer::engine_for(const JobRequest& req) {
+KernelServer::Engine& KernelServer::engine_for(
+    const JobRequest& req, const api::BackendOptions& opts) {
   // Every field a warm substrate is built from must be part of the key:
   // a TmkEngine's DsmRuntime bakes the coherence policy into its config at
-  // construction, and run_dsm refuses a job whose policy differs.
+  // construction, and run_dsm refuses a job whose policy differs.  The
+  // rest of `opts` that a substrate reads (wire model, region size,
+  // WRITE_ALL) is the same for every request.
   const std::tuple<int, int, int> key{static_cast<int>(req.backend),
                                       static_cast<int>(req.transport),
                                       static_cast<int>(req.coherence)};
@@ -108,14 +98,9 @@ KernelServer::Engine& KernelServer::engine_for(const JobRequest& req) {
 
   std::unique_ptr<Engine> engine;
   if (req.backend == api::Backend::kChaos) {
-    engine =
-        std::make_unique<ChaosEngine>(cfg_.nprocs, cfg_.wire, req.transport);
+    engine = std::make_unique<ChaosEngine>(cfg_.nprocs, opts);
   } else {
-    api::BackendOptions base;
-    base.coherence = req.coherence;
-    engine = std::make_unique<TmkEngine>(cfg_.nprocs, req.backend,
-                                         overlay(std::move(base),
-                                                 req.transport));
+    engine = std::make_unique<TmkEngine>(cfg_.nprocs, req.backend, opts);
   }
   Engine& ref = *engine;
   engines_[key] = std::move(engine);
@@ -172,9 +157,9 @@ SubmitResult KernelServer::submit(const JobRequest& req) {
     ++rejected_;
     return {false, 0, "server shutting down"};
   }
-  if (!known_kernel(req.kernel)) {
+  if (std::string error = request_error(req); !error.empty()) {
     ++rejected_;
-    return {false, 0, "unknown kernel '" + req.kernel + "'"};
+    return {false, 0, std::move(error)};
   }
   if (queue_.size() >= cfg_.queue_capacity) {
     ++rejected_;
@@ -263,14 +248,8 @@ void KernelServer::run_job(Job& job) {
   try {
     const PreparedJob prepared = prepare_job(job.req, cfg_.nprocs);
     s.cache_eligible = prepared.cacheable;
-
-    api::BackendOptions opts = overlay(prepared.base_options,
-                                       job.req.transport);
-    opts.round_schedule = job.req.schedule;
-    opts.cross_step_prefetch = job.req.cross_step_prefetch;
-    opts.coherence = job.req.coherence;
-
-    Engine& engine = engine_for(job.req);
+    const api::BackendOptions& opts = prepared.base_options;
+    Engine& engine = engine_for(job.req, opts);
 
     api::RunSession session;
     const CacheKey key{prepared.fingerprint, job.req.kernel, job.req.backend,

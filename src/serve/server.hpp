@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "src/api/backend.hpp"
-#include "src/net/transport.hpp"
 #include "src/serve/job.hpp"
 #include "src/serve/schedule_cache.hpp"
 
@@ -42,11 +41,7 @@ struct ServerConfig {
   std::size_t workers = 2;         ///< job worker threads (min 1)
   std::size_t queue_capacity = 8;  ///< admission bound (backpressure)
   std::size_t cache_entries = 32;  ///< ScheduleCache capacity (LRU)
-  /// Address space each Tmk node reserves for the shared heap, and the
-  /// heap's capacity; per-node page metadata follows the allocated heap.
-  std::size_t region_bytes = 256u << 20;
-  net::WireModel wire{};  ///< simulated cost model (in-proc transports)
-  bool listen = false;    ///< open the 127.0.0.1 control socket
+  bool listen = false;             ///< open the 127.0.0.1 control socket
 };
 
 class KernelServer {
@@ -57,8 +52,9 @@ class KernelServer {
   KernelServer(const KernelServer&) = delete;
   KernelServer& operator=(const KernelServer&) = delete;
 
-  /// Admission: validates the kernel name and queue headroom under the
-  /// admission lock; never blocks on execution.
+  /// Admission: checks the request (request_error in workloads.hpp) and
+  /// the queue headroom under the admission lock; never blocks on
+  /// execution.
   SubmitResult submit(const JobRequest& req);
 
   /// Blocks until the job completes and returns its stats.  An unknown id
@@ -89,9 +85,7 @@ class KernelServer {
 
   void worker_loop();
   void run_job(Job& job);
-  Engine& engine_for(const JobRequest& req);
-  api::BackendOptions overlay(api::BackendOptions base,
-                              net::TransportKind transport) const;
+  Engine& engine_for(const JobRequest& req, const api::BackendOptions& opts);
 
   void start_listener();
   void stop_listener();

@@ -50,6 +50,33 @@ const std::vector<std::string>& kernel_names() {
   return names;
 }
 
+std::string request_error(const JobRequest& req) {
+  if (!known_kernel(req.kernel)) {
+    return "unknown kernel '" + req.kernel + "'";
+  }
+  const auto out_of_range = [](const char* field, auto value) {
+    return "unknown " + std::string(field) + " " +
+           std::to_string(static_cast<int>(value));
+  };
+  if (req.backend > api::Backend::kHybrid) {
+    return out_of_range("backend", req.backend);
+  }
+  if (req.schedule > api::RoundSchedule::kTournament) {
+    return out_of_range("schedule", req.schedule);
+  }
+  if (req.coherence > coherence::CoherencePolicy::kAdaptive) {
+    return out_of_range("coherence", req.coherence);
+  }
+  if (req.transport > net::TransportKind::kSocket) {
+    return out_of_range("transport", req.transport);
+  }
+  if (req.backend == api::Backend::kHybrid &&
+      req.coherence != coherence::CoherencePolicy::kStatic) {
+    return "coherence: the hybrid backend runs under static coherence only";
+  }
+  return "";
+}
+
 PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
   const GraphSpec& g = req.graph;
   PreparedJob job;
@@ -64,14 +91,11 @@ PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
     const apps::moldyn::System sys = apps::moldyn::make_system(p);
     job.is_double3 = true;
     job.spec3 = apps::moldyn::make_kernel(p, sys);
-    job.cacheable = job.spec3.structure_cacheable;
     job.base_options = apps::moldyn::default_options();
     job.fingerprint =
         fingerprint_of(req.kernel, nprocs, p.num_molecules, p.num_steps,
                        p.update_interval, p.box, p.cutoff, p.dt, p.seed);
-    return job;
-  }
-  if (req.kernel == "nbf") {
+  } else if (req.kernel == "nbf") {
     apps::nbf::Params p;
     p.nprocs = nprocs;
     if (g.num_elements > 0) p.molecules = g.num_elements;
@@ -141,9 +165,14 @@ PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
         static_cast<std::uint8_t>(p.use_convergence ? 1 : 0), p.seed);
   } else {
     SDSM_REQUIRE_MSG(false, "prepare_job: unknown kernel (admission must "
-                            "check known_kernel first)");
+                            "check request_error first)");
   }
-  job.cacheable = job.spec.structure_cacheable;
+  job.cacheable = job.is_double3 ? job.spec3.structure_cacheable
+                                 : job.spec.structure_cacheable;
+  job.base_options.transport = req.transport;
+  job.base_options.round_schedule = req.schedule;
+  job.base_options.cross_step_prefetch = req.cross_step_prefetch;
+  job.base_options.coherence = req.coherence;
   return job;
 }
 

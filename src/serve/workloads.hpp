@@ -1,5 +1,5 @@
-// The serving layer's kernel registry: resolves a JobRequest's kernel
-// name + GraphSpec into a concrete KernelSpec, the workload's default
+// The serving layer's kernel registry: checks a JobRequest, and resolves
+// its kernel name + GraphSpec into a concrete KernelSpec, the job's
 // backend options, and the schedule-cache fingerprint.
 //
 // The fingerprint is an FNV-1a digest of the kernel name, every resolved
@@ -27,8 +27,8 @@ struct PreparedJob {
 
   bool cacheable = false;  ///< spec.structure_cacheable
   std::uint64_t fingerprint = 0;
-  /// The workload's default_options() (CHAOS table kind etc.); the server
-  /// overlays its own transport/region/schedule fields on top.
+  /// The workload's default_options() (CHAOS table kind etc.) with the
+  /// request's transport, schedule, prefetch and coherence applied.
   api::BackendOptions base_options;
 };
 
@@ -38,8 +38,15 @@ bool known_kernel(std::string_view name);
 /// All kernel names, for usage messages.
 const std::vector<std::string>& kernel_names();
 
-/// Resolves the request against `nprocs` nodes.  The request's kernel must
-/// be known (checked at admission).
+/// Why an engine would refuse `req`, naming the field, or "" when it can
+/// run: an unknown kernel; a backend, schedule, coherence or transport
+/// value outside its enum; or the hybrid backend under adaptive
+/// coherence.  Admission (KernelServer::submit) and the process-mode
+/// worker both reject on it, so no accepted request aborts an engine.
+std::string request_error(const JobRequest& req);
+
+/// Resolves the request against `nprocs` nodes.  The request must pass
+/// request_error (checked at admission).
 PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs);
 
 }  // namespace sdsm::serve

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "src/api/api.hpp"
+#include "src/api/tmk_backend.hpp"
 #include "src/apps/moldyn/moldyn_kernel.hpp"
 #include "src/apps/pagerank/pagerank.hpp"
 #include "src/apps/spmv/spmv.hpp"
@@ -37,6 +38,14 @@ TEST(Backend, RoundScheduleParseAndNameRoundTrip) {
   EXPECT_EQ(parse_round_schedule("Tournament"), RoundSchedule::kTournament);
   EXPECT_EQ(parse_round_schedule("SERIAL"), RoundSchedule::kSerial);
   EXPECT_FALSE(parse_round_schedule("bracket").has_value());
+}
+
+// A TmkBackend runs the page protocol, so a CHAOS kind is a precondition
+// failure rather than a Tmk base run labelled "CHAOS".
+TEST(TmkBackendDeathTest, RejectsTheChaosKind) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(TmkBackend(4, Backend::kChaos, BackendOptions{}),
+               "TmkBackend: not a DSM backend kind");
 }
 
 TEST(Backend, OwnerOfContiguousPartition) {

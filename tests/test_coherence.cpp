@@ -113,7 +113,7 @@ TEST(WriteCensus, PruneDropsDecayedWritersAndEmptyPages) {
 // --- PolicyEngine ----------------------------------------------------------
 
 TEST(PolicyEngine, SoleWriterReplicatesAfterStreak) {
-  PolicyEngine pe(0, CoherenceTuning{});
+  PolicyEngine pe(0);
   pe.fold_write(7, 1, 1000);
   pe.tick();  // streak 1 < repl_epochs: still unclassified
   EXPECT_EQ(pe.page_class(7), PageClass::kNone);
@@ -128,7 +128,7 @@ TEST(PolicyEngine, SoleWriterReplicatesAfterStreak) {
 }
 
 TEST(PolicyEngine, ReplicatedPageStaysThroughIdleEpochsThenDemotes) {
-  PolicyEngine pe(0, CoherenceTuning{});
+  PolicyEngine pe(0);
   pe.fold_write(7, 1, 4);
   pe.tick();
   pe.fold_write(7, 1, 4);
@@ -145,7 +145,7 @@ TEST(PolicyEngine, AlternatingWritersDoNotPingPongOwnership) {
   // Writers A=1 and B=2 alternate epochs on the same page.  With halving
   // decay an alternating challenger peaks below the 3x hysteresis ratio,
   // so ownership must settle after the first assignment and never flap.
-  PolicyEngine pe(0, CoherenceTuning{});
+  PolicyEngine pe(0);
   std::uint32_t total_migrations = 0;
   pe.fold_write(7, 1, 1000);
   total_migrations += pe.tick().migrations;  // sole writer so far: none
@@ -160,7 +160,7 @@ TEST(PolicyEngine, AlternatingWritersDoNotPingPongOwnership) {
 TEST(PolicyEngine, SustainedHandOffOvercomesHysteresis) {
   // A dominates while it writes; once A stops and B keeps writing, B's
   // steady score must overtake A's decaying one within a few epochs.
-  PolicyEngine pe(2, CoherenceTuning{});
+  PolicyEngine pe(2);
   std::uint32_t total_migrations = 0;
   for (int e = 0; e < 3; ++e) {
     pe.fold_write(7, 1, 4000);
@@ -189,7 +189,7 @@ TEST(PolicyEngine, SustainedHandOffOvercomesHysteresis) {
 }
 
 TEST(PolicyEngine, ResetClearsEverything) {
-  PolicyEngine pe(0, CoherenceTuning{});
+  PolicyEngine pe(0);
   pe.fold_write(7, 1, 1000);
   pe.tick();
   pe.fold_write(7, 1, 1000);

@@ -1,11 +1,9 @@
-// Tests for the per-region execution-planning layer (sdsm::api::plan):
-// the fixed strategy assignment of every backend, the census-driven
-// indirection classification the hybrid uses, the DsmExchange adapter
-// that runs CHAOS collectives over the DSM fabric, the refactored
-// backends' traffic parity against the committed baseline counts, and
-// the hybrid backend's bit-exact matrix against CHAOS across both
-// transports and both reduction-round schedules on moldyn, pagerank and
-// the converging frontier kernels bfs and cc.
+// Tests for the plan layer's DSM-side pieces (sdsm::api::plan): the
+// DsmExchange adapter that runs CHAOS collectives over the DSM fabric, the
+// backends' traffic parity against the committed baseline counts, and the
+// hybrid backend's bit-exact matrix against CHAOS across both transports
+// and both reduction-round schedules on moldyn, pagerank and the
+// converging frontier kernels bfs and cc.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,96 +11,17 @@
 
 #include "src/api/api.hpp"
 #include "src/api/plan/dsm_exchange.hpp"
-#include "src/api/plan/plan.hpp"
 #include "src/apps/graph/bfs.hpp"
 #include "src/apps/graph/cc.hpp"
 #include "src/apps/moldyn/moldyn_kernel.hpp"
 #include "src/apps/pagerank/pagerank.hpp"
 #include "src/apps/spmv/spmv.hpp"
 #include "src/core/dsm.hpp"
-#include "src/partition/partition.hpp"
 
 namespace sdsm::api::plan {
 namespace {
 
 constexpr std::uint32_t kNodes = 4;
-
-// --- Strategy assignments ---------------------------------------------------
-
-TEST(PlanFor, ClassicBackendsAreFixedAssignments) {
-  const ExecutionPlan chaos = plan_for(Backend::kChaos);
-  EXPECT_EQ(chaos.state, AccessStrategy::kInspectorGather);
-  EXPECT_EQ(chaos.indirection, AccessStrategy::kInspectorGather);
-  EXPECT_FALSE(chaos.validate_aggregation);
-  EXPECT_FALSE(chaos.uses_dsm());
-  EXPECT_FALSE(chaos.mixed());
-
-  const ExecutionPlan base = plan_for(Backend::kTmkBase);
-  EXPECT_EQ(base.state, AccessStrategy::kPageDsm);
-  EXPECT_EQ(base.indirection, AccessStrategy::kPageDsm);
-  EXPECT_FALSE(base.validate_aggregation);
-  EXPECT_TRUE(base.uses_dsm());
-  EXPECT_FALSE(base.mixed());
-
-  const ExecutionPlan opt = plan_for(Backend::kTmkOptimized);
-  EXPECT_EQ(opt.state, AccessStrategy::kPageDsm);
-  EXPECT_EQ(opt.indirection, AccessStrategy::kPageDsm);
-  EXPECT_TRUE(opt.validate_aggregation);
-}
-
-TEST(PlanFor, HybridIsTheMixedAssignment) {
-  const ExecutionPlan h = plan_for(Backend::kHybrid);
-  EXPECT_EQ(h.of(Region::kState), AccessStrategy::kPageDsm);
-  EXPECT_EQ(h.of(Region::kIndirection), AccessStrategy::kInspectorGather);
-  EXPECT_TRUE(h.validate_aggregation);
-  EXPECT_TRUE(h.uses_dsm());
-  EXPECT_TRUE(h.mixed());
-}
-
-TEST(PlanFor, StrategyNames) {
-  EXPECT_STREQ(access_strategy_name(AccessStrategy::kPageDsm), "page-dsm");
-  EXPECT_STREQ(access_strategy_name(AccessStrategy::kInspectorGather),
-               "inspector-gather");
-}
-
-// --- Census-driven classification -------------------------------------------
-
-TEST(Census, PageAlignedSlicesAreSingleWriter) {
-  // An even 4-way partition of 4096 doubles: each owner's slice spans its
-  // own pages, so every censused page has exactly one writer and the
-  // indirection region goes to the inspector.
-  const std::vector<part::Range> owners = part::block_partition(4096, kNodes);
-  const coherence::WriteCensus census =
-      census_for_layout(owners, sizeof(double), 4096);
-  ASSERT_FALSE(census.pages().empty());
-  for (const auto& [page, entry] : census.pages()) {
-    (void)page;
-    EXPECT_EQ(entry.writers.size(), 1u);
-  }
-  EXPECT_EQ(classify_indirection(census), AccessStrategy::kInspectorGather);
-}
-
-TEST(Census, MultiWriterPageFallsBackToPageDsm) {
-  // Two writers fold diffs into one page: concurrent writes land in the
-  // region the indirection reads flow through, which needs the
-  // multiple-writer diff protocol.
-  coherence::WriteCensus census;
-  census.fold(/*page=*/0, /*writer=*/0, /*bytes=*/4096, /*epoch=*/1);
-  census.fold(/*page=*/0, /*writer=*/1, /*bytes=*/64, /*epoch=*/1);
-  census.fold(/*page=*/1, /*writer=*/1, /*bytes=*/4096, /*epoch=*/1);
-  EXPECT_EQ(classify_indirection(census), AccessStrategy::kPageDsm);
-}
-
-TEST(Census, EmptySlicesCensusNoPages) {
-  // A partition wider than the element count leaves trailing owners
-  // empty; their slices must contribute no pages (and no zero-byte
-  // writer entries) to the census.
-  std::vector<part::Range> owners = part::block_partition(2, kNodes);
-  const coherence::WriteCensus census =
-      census_for_layout(owners, sizeof(double), 4096);
-  EXPECT_EQ(census.pages().size(), 2u);  // owners 0 and 1 only
-  EXPECT_EQ(classify_indirection(census), AccessStrategy::kInspectorGather);
-}
 
 // --- DsmExchange: CHAOS collectives over the DSM fabric ----------------------
 
@@ -331,35 +250,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(RoundSchedule::kSerial,
                                          RoundSchedule::kTournament)),
     hybrid_matrix_name);
-
-// --- KernelSpec-declared strategy -------------------------------------------
-
-// A spec may pin the indirection strategy instead of letting the census
-// decide: kPageDsm forces the hybrid down the pure page-protocol path,
-// which must still be bit-exact (it IS the optimized Tmk execution).
-TEST(DeclaredStrategy, PageDsmPinFallsBackToPureProtocol) {
-  apps::spmv::Params p;
-  p.num_rows = 2048;
-  p.num_steps = 6;
-  p.edges_per_vertex = 4;
-  p.nprocs = kNodes;
-  api::BackendOptions opts = apps::spmv::default_options();
-
-  api::KernelSpec<double> pinned = apps::spmv::make_kernel(p);
-  pinned.indirection_strategy = AccessStrategy::kPageDsm;
-  const api::KernelResult as_dsm =
-      api::run_kernel(Backend::kHybrid, pinned, opts);
-  const api::KernelResult opt =
-      api::run_kernel(Backend::kTmkOptimized, apps::spmv::make_kernel(p), opts);
-  EXPECT_EQ(as_dsm.checksum, opt.checksum);
-  EXPECT_EQ(as_dsm.messages, opt.messages);
-
-  api::KernelSpec<double> gather = apps::spmv::make_kernel(p);
-  gather.indirection_strategy = AccessStrategy::kInspectorGather;
-  const api::KernelResult as_hybrid =
-      api::run_kernel(Backend::kHybrid, gather, opts);
-  EXPECT_EQ(as_hybrid.checksum, opt.checksum);
-}
 
 }  // namespace
 }  // namespace sdsm::api::plan

@@ -47,18 +47,16 @@ serve::JobRequest moldyn_request(api::Backend b) {
 }
 
 /// The threaded reference: the byte-identical job, materialized by the
-/// same prepare_job the workers call, on the threaded socket fabric.
+/// same prepare_job the workers call, on the threaded socket fabric (every
+/// request here asks for the socket transport).
 api::KernelResult run_threaded(const serve::JobRequest& req,
                                std::uint32_t nprocs) {
   const serve::PreparedJob prepared = serve::prepare_job(req, nprocs);
-  api::BackendOptions options = prepared.base_options;
-  options.transport = net::TransportKind::kSocket;
-  options.round_schedule = req.schedule;
-  options.cross_step_prefetch = req.cross_step_prefetch;
   if (prepared.is_double3) {
-    return api::run_kernel(req.backend, prepared.spec3, options);
+    return api::run_kernel(req.backend, prepared.spec3,
+                           prepared.base_options);
   }
-  return api::run_kernel(req.backend, prepared.spec, options);
+  return api::run_kernel(req.backend, prepared.spec, prepared.base_options);
 }
 
 void expect_parity(const serve::JobRequest& req) {
@@ -98,6 +96,14 @@ TEST(ProcParity, SpmvTmkBase) {
 
 TEST(ProcParity, SpmvTmkOptimized) {
   expect_parity(spmv_request(api::Backend::kTmkOptimized));
+}
+
+// The request's coherence reaches both sides: the workers and the threaded
+// reference run the same adaptive job, so every count still matches.
+TEST(ProcParity, SpmvTmkOptimizedAdaptive) {
+  serve::JobRequest req = spmv_request(api::Backend::kTmkOptimized);
+  req.coherence = coherence::CoherencePolicy::kAdaptive;
+  expect_parity(req);
 }
 
 TEST(ProcParity, MoldynTmkBase) {

@@ -386,6 +386,43 @@ TEST(ServeAdmission, UnknownKernelRejected) {
   EXPECT_EQ(s.error, "unknown kernel 'fft'");
 }
 
+// Every request an engine would abort on is refused at admission, with a
+// reason naming the field, and the server stays up for the next job.
+TEST(ServeAdmission, RejectsWhatAnEngineWouldAbortOn) {
+  KernelServer server(small_server());
+  const JobRequest good =
+      spmv_request(api::Backend::kTmkOptimized, net::TransportKind::kInProc);
+  struct Bad {
+    JobRequest req;
+    std::string reason;
+  };
+  std::vector<Bad> bad(5, Bad{good, ""});
+  bad[0].req.backend = static_cast<api::Backend>(9);
+  bad[0].reason = "unknown backend 9";
+  bad[1].req.schedule = static_cast<api::RoundSchedule>(7);
+  bad[1].reason = "unknown schedule 7";
+  bad[2].req.coherence = static_cast<coherence::CoherencePolicy>(7);
+  bad[2].reason = "unknown coherence 7";
+  bad[3].req.transport = static_cast<net::TransportKind>(7);
+  bad[3].reason = "unknown transport 7";
+  bad[4].req.backend = api::Backend::kHybrid;
+  bad[4].req.coherence = coherence::CoherencePolicy::kAdaptive;
+  bad[4].reason =
+      "coherence: the hybrid backend runs under static coherence only";
+  for (const Bad& b : bad) {
+    const SubmitResult r = server.submit(b.req);
+    EXPECT_FALSE(r.accepted) << b.reason;
+    EXPECT_EQ(r.reason, b.reason);
+  }
+
+  Client client = Client::in_proc(server);
+  const JobStats s = client.run(good);
+  EXPECT_TRUE(s.ok) << s.error;
+  const ServerStats st = server.stats();
+  EXPECT_EQ(st.rejected, bad.size());
+  EXPECT_EQ(st.completed, 1u);
+}
+
 TEST(ServeAdmission, ShutdownDrainsHeldQueueThenRejects) {
   ServerConfig cfg = small_server(/*workers=*/2);
   KernelServer server(cfg);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Doc hygiene checks for README.md, ROADMAP.md, and docs/.
 
-Three checks, all cheap enough to run on every push:
+Four checks, all cheap enough to run on every push:
 
 1.  Relative markdown links resolve: the target file exists, and when
     the link carries a #fragment, a heading in the target generates
@@ -20,6 +20,17 @@ Three checks, all cheap enough to run on every push:
 3.  No dangling doc citations: every `*.md` a source file under src/,
     bench/, tests/ or examples/ names (in a .cpp, .hpp or .py) exists,
     relative to the citing file or to the repo root.
+
+4.  No names of code that does not exist: outside fenced code blocks in
+    README.md and docs/*.md (ROADMAP.md names planned code, so it is
+    left out), every backticked qualified name (`a::b`) has each of its
+    parts occur as an identifier somewhere in src/, bench/, tests/,
+    examples/, tools/, .github/ or CMakeLists.txt; `std::` names are
+    exempt.  A backticked span that is one bare identifier (optionally
+    followed by a call's parentheses) with an underscore or a
+    lowercase-to-uppercase change in it must occur likewise, or be a
+    file's stem there, so binary names pass.  Deleted code keeps living
+    in prose otherwise.
 
 Stdlib only; exits non-zero with one line per problem.
 """
@@ -50,6 +61,14 @@ MD_NAME_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_./-]*\.md\b")
 
 SOURCE_DIRS = ("src", "bench", "tests", "examples")
 SOURCE_EXTS = (".cpp", ".hpp", ".py")
+
+CODE_DIRS = SOURCE_DIRS + ("tools", ".github")
+NAME_DOC_FILES = [p for p in DOC_FILES if p != "ROADMAP.md"]
+SPAN_RE = re.compile(r"`([^`]+)`")
+IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+QUALIFIED_RE = re.compile(r"[A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)+")
+BARE_RE = re.compile(r"([A-Za-z_]\w*)(?:\(.*\))?")
+CAMEL_RE = re.compile(r"[a-z][A-Z]")
 
 
 def github_slug(heading):
@@ -149,6 +168,49 @@ def check_cited_docs(errors):
                                 f"cites missing doc {cited}")
 
 
+def code_names():
+    """Every identifier in the code, and every code file's stem."""
+    idents, stems = set(), set()
+    paths = [os.path.join(ROOT, "CMakeLists.txt")]
+    for top in CODE_DIRS:
+        paths += [p for p in glob.glob(os.path.join(ROOT, top, "**", "*"),
+                                       recursive=True) if os.path.isfile(p)]
+    for path in paths:
+        stems.add(os.path.splitext(os.path.basename(path))[0])
+        try:
+            with open(path, encoding="utf-8") as f:
+                idents.update(IDENT_RE.findall(f.read()))
+        except UnicodeDecodeError:
+            pass  # binary artifacts name nothing
+    return idents, stems
+
+
+def check_code_names(relpath, idents, stems, errors):
+    in_fence = False
+    with open(os.path.join(ROOT, relpath), encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            if FENCE_RE.match(line):
+                in_fence = not in_fence
+                continue
+            if in_fence:
+                continue
+            for span in SPAN_RE.findall(line):
+                for name in QUALIFIED_RE.findall(span):
+                    parts = name.replace("~", "").split("::")
+                    if parts[0] != "std" and \
+                            not all(p in idents for p in parts):
+                        errors.append(f"{relpath}:{lineno}: names missing "
+                                      f"code {name}")
+                m = BARE_RE.fullmatch(span.strip())
+                if not m:
+                    continue
+                name = m.group(1)
+                if ("_" in name or CAMEL_RE.search(name)) and \
+                        name not in idents and name not in stems:
+                    errors.append(
+                        f"{relpath}:{lineno}: names missing code {name}")
+
+
 def main():
     errors = []
     for relpath in DOC_FILES:
@@ -160,6 +222,10 @@ def main():
             check_links(relpath, errors)
             check_flags(relpath, known, errors)
     check_cited_docs(errors)
+    idents, stems = code_names()
+    for relpath in NAME_DOC_FILES:
+        if os.path.isfile(os.path.join(ROOT, relpath)):
+            check_code_names(relpath, idents, stems, errors)
     for e in errors:
         print(e, file=sys.stderr)
     if errors:
