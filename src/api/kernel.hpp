@@ -351,8 +351,8 @@ struct KernelResult {
   double overhead_seconds = 0;
   /// Per-node wall time in the diff hot paths (Tmk backends; zero on
   /// CHAOS): twin-vs-page scans (Diff::create/whole) and Diff::apply
-  /// loops.  These are what the scalar/word engine A/B moves — traffic is
-  /// byte-identical across engines by construction.
+  /// loops.  A diff's encoding is a function of the page data alone, so
+  /// these timers can move while the traffic stays byte-identical.
   double diff_create_seconds = 0;
   double diff_apply_seconds = 0;
   std::int64_t rebuilds = 0;  ///< item-list rebuilds (= inspector runs)

@@ -266,227 +266,201 @@ KernelResult run_strategies(
 // kTmkOptimized).
 // ---------------------------------------------------------------------------
 
-/// The shared allocations of one page-protocol run, and the phases every
-/// node's strategy (PageDsm::Node) runs over them.
+/// The shared allocations of one page-protocol run.
 template <typename T>
-struct PageDsm {
-  /// One node's strategy object and per-node state.
-  struct Node : NodeTally {
-    Node(PageDsm& run, core::DsmNode& self)
-        : run(run), self(self), irregular(self), accum(run.n),
-          touches(run.nprocs) {}
+struct PageHeap {
+  core::GlobalArray<T> x, f;
+  core::GlobalArray<std::int32_t> list;  ///< one slice_ints slice per node
+  std::size_t slice_ints = 0;
+  std::vector<core::GlobalArray<std::uint8_t>> touch_rows;  ///< tournament
+  std::vector<core::GlobalArray<T>> scratch;                ///< tournament
+  core::GlobalArray<std::uint8_t> conv_flags;  ///< converging kernels
+  compiler::Bindings bindings;  ///< X, F and LIST for the compiled Validate
+};
 
-    void rebuild(int /*global_step*/) { run.rebuild(*this); }
-    void execute_step(int /*global_step*/) { run.execute_step(*this); }
-    bool finish_step(int global_step, bool last) {
-      return run.finish_step(*this, global_step, last);
+/// The elements [r.begin, r.end) of `a`, in the array's own dense layout.
+template <typename U>
+core::DescriptorBuilder dense(const core::GlobalArray<U>& a, part::Range r,
+                              std::uint32_t sched) {
+  core::DescriptorBuilder b = core::DescriptorBuilder::array(a);
+  b.elements(r.begin, r.end - 1).schedule(sched);
+  return b;  // by name, so it is not copied out of the chain's reference
+}
+
+/// The compiler's binding of a shared array, in the same dense layout.
+template <typename U>
+compiler::ArrayBinding binding_of(const core::GlobalArray<U>& a) {
+  return {a.addr, sizeof(U), {{static_cast<std::int64_t>(a.count)}, true}};
+}
+
+/// Allocates the run's shared arrays.  The order (x, f, list, then the
+/// tournament's touch rows and scratch, then the convergence flags) fixes
+/// the heap layout, and the heap layout is traffic.
+template <typename T>
+PageHeap<T> alloc_page_heap(core::DsmRuntime& rt, const KernelSpec<T>& spec,
+                            std::uint32_t nprocs, bool tournament) {
+  const auto n = static_cast<std::size_t>(spec.num_elements);
+  PageHeap<T> heap;
+  heap.x = rt.alloc_global<T>(n);
+  heap.f = rt.alloc_global<T>(n);
+
+  // Per-node slice of the shared flat index array: int32 refs, each
+  // node's CSR rows concatenated.  Page-aligned so one node's WRITE_ALL
+  // rebuild never ships a page carrying a neighbour's references; sized
+  // by the declared reference capacity, not items * max-arity — the
+  // unpadded CSR footprint is exactly what variable-length rows save.
+  const std::size_t page_ints = rt.page_size() / sizeof(std::int32_t);
+  heap.slice_ints =
+      (static_cast<std::size_t>(spec.max_refs_per_node) + page_ints - 1) /
+      page_ints * page_ints;
+  heap.list = rt.alloc_global<std::int32_t>(heap.slice_ints * nprocs);
+
+  // Tournament state, absent in serial mode so the serial schedule's
+  // heap layout and traffic stay bit-identical to the committed
+  // baseline: each node's touch-matrix row (published at every rebuild
+  // so all nodes derive the same pairing) and its scratch slice (where
+  // losers publish partial sums for winners to combine).  Separate
+  // page-aligned allocations, so no slice ever shares a page with a
+  // neighbour's.  Footprint: the slices add nprocs * n * sizeof(T) of
+  // shared region — the same full-size-per-node memory/latency trade the
+  // paper notes for Tmk's private reduction arrays, paid again in shared
+  // space; a run near region_bytes under the serial schedule needs a
+  // larger region before flipping the tournament on.  (A node can
+  // publish up to every chunk it contributes to, so per-slice demand is
+  // only bounded by n; packing touched chunks would need a per-rebuild
+  // layout + remap.)
+  if (tournament) {
+    for (std::uint32_t q = 0; q < nprocs; ++q) {
+      heap.touch_rows.push_back(rt.alloc_global<std::uint8_t>(nprocs));
     }
-    void record_checksum() {
-      const part::Range mine = run.spec.owner_range[self.id()];
-      account.checksum = run.spec.checksum(std::span<const T>(
-          self.ptr(run.x) + mine.begin, static_cast<std::size_t>(mine.size())));
+    for (std::uint32_t q = 0; q < nprocs; ++q) {
+      heap.scratch.push_back(rt.alloc_global<T>(n));
     }
-
-    PageDsm& run;
-    core::DsmNode& self;
-    TmkIrregularNode irregular;
-    std::vector<T> accum;  ///< private full-size reduction array (the
-                           ///< memory cost the paper notes for Tmk)
-    std::vector<std::int64_t> row_offsets;
-    std::vector<double> payload;
-    std::vector<bool> touches;  ///< chunks this node's items reference
-    TournamentPlan plan;        ///< this node's bracket (tournament mode)
-  };
-
-  PageDsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
-          RunSession* session, const BackendOptions& options,
-          std::uint32_t nprocs, bool optimized)
-      : spec(spec),
-        session(session),
-        options(options),
-        nprocs(nprocs),
-        n(static_cast<std::size_t>(spec.num_elements)),
-        optimized(optimized),
-        tournament(options.round_schedule == RoundSchedule::kTournament),
-        // Cross-step prefetch rides the Validate machinery, so it exists
-        // only on the optimized backend; base demand paging would fetch
-        // page-by-page and the prefetch-vs-not traffic-equality contract
-        // could not hold.
-        prefetch(options.cross_step_prefetch && optimized),
-        has_conv(static_cast<bool>(spec.converged)) {
-    x = rt.alloc_global<T>(n);
-    f = rt.alloc_global<T>(n);
-
-    // Per-node slice of the shared flat index array: int32 refs, each
-    // node's CSR rows concatenated.  Page-aligned so one node's WRITE_ALL
-    // rebuild never ships a page carrying a neighbour's references; sized
-    // by the declared reference capacity, not items * max-arity — the
-    // unpadded CSR footprint is exactly what variable-length rows save.
-    const std::size_t page_ints = rt.page_size() / sizeof(std::int32_t);
-    slice_ints =
-        (static_cast<std::size_t>(spec.max_refs_per_node) + page_ints - 1) /
-        page_ints * page_ints;
-    list = rt.alloc_global<std::int32_t>(slice_ints * nprocs);
-
-    // Tournament state, absent in serial mode so the serial schedule's
-    // heap layout and traffic stay bit-identical to the committed
-    // baseline: each node's touch-matrix row (published at every rebuild
-    // so all nodes derive the same pairing) and its scratch slice (where
-    // losers publish partial sums for winners to combine).  Separate
-    // page-aligned allocations, so no slice ever shares a page with a
-    // neighbour's.  Footprint: the slices add nprocs * n * sizeof(T) of
-    // shared region — the same full-size-per-node memory/latency trade the
-    // paper notes for Tmk's private reduction arrays, paid again in shared
-    // space; a run near region_bytes under the serial schedule needs a
-    // larger region before flipping the tournament on.  (A node can
-    // publish up to every chunk it contributes to, so per-slice demand is
-    // only bounded by n; packing touched chunks would need a per-rebuild
-    // layout + remap.)
-    if (tournament) {
-      touch_rows.reserve(nprocs);
-      scratch.reserve(nprocs);
-      for (std::uint32_t q = 0; q < nprocs; ++q) {
-        touch_rows.push_back(rt.alloc_global<std::uint8_t>(nprocs));
-      }
-      for (std::uint32_t q = 0; q < nprocs; ++q) {
-        scratch.push_back(rt.alloc_global<T>(n));
-      }
-    }
-
-    // The DSM-published convergence flag: one byte per node in one shared
-    // array (the multiple-writer protocol merges the per-node writes).
-    // Each node writes its verdict before the step barrier and reads all
-    // of them after it, so every node derives the identical termination
-    // decision with no side channel.  Allocated only when the kernel
-    // converges, so non-converging kernels keep a bit-identical heap
-    // layout and traffic.
-    if (has_conv) conv_flags = rt.alloc_global<std::uint8_t>(nprocs);
-
-    x_layout = rsd::ArrayLayout{{spec.num_elements}, true};
-    list_layout = rsd::ArrayLayout{
-        {static_cast<std::int64_t>(slice_ints * nprocs)}, true};
-    node_layout = rsd::ArrayLayout{{static_cast<std::int64_t>(nprocs)}, true};
-    bindings["X"] = compiler::ArrayBinding{x.addr, sizeof(T), x_layout};
-    bindings["F"] = compiler::ArrayBinding{f.addr, sizeof(T), x_layout};
-    bindings["LIST"] =
-        compiler::ArrayBinding{list.addr, sizeof(std::int32_t), list_layout};
   }
 
-  // The rebuild's whole-state read: issued by validate at the rebuild
-  // itself, and — when cross-step prefetch is on — posted identically from
-  // the previous step's barrier exit, so the same pages fly the same way
-  // and only the wait moves.
-  core::AccessDescriptor rebuild_read_desc() const {
-    return core::DescriptorBuilder::array(x, x_layout)
-        .elements(0, spec.num_elements - 1)
-        .schedule(kSchedRebuildRead)
-        .read();
-  }
+  // The DSM-published convergence flag: one byte per node in one shared
+  // array (the multiple-writer protocol merges the per-node writes).
+  // Each node writes its verdict before the step barrier and reads all
+  // of them after it, so every node derives the identical termination
+  // decision with no side channel.  Allocated only when the kernel
+  // converges, so non-converging kernels keep a bit-identical heap
+  // layout and traffic.
+  if (spec.converged) heap.conv_flags = rt.alloc_global<std::uint8_t>(nprocs);
 
-  // --- The structure rebuild.  The whole-state read arrives by
-  // aggregated Validate (optimized) or demand paging (base); the rebuilt
-  // reference list is published through the shared LIST slice.
-  void rebuild(Node& st) {
-    core::DsmNode& self = st.self;
-    const NodeId me = self.id();
+  heap.bindings["X"] = binding_of(heap.x);
+  heap.bindings["F"] = binding_of(heap.f);
+  heap.bindings["LIST"] = binding_of(heap.list);
+  return heap;
+}
+
+/// One node's page-protocol strategy.  kTmkBase runs kTmkOptimized's code
+/// minus its declarations: every access the compiler's Validate covers
+/// goes through declare(), which validates on the optimized backend and
+/// does nothing on the base one, whose demand faults fetch the same pages.
+template <typename T>
+class PageProtocol : public NodeTally {
+ public:
+  PageProtocol(const KernelSpec<T>& spec, const PageHeap<T>& heap,
+               RunSession* session, core::DsmNode& self, bool optimized,
+               bool tournament, bool prefetch)
+      : spec_(spec),
+        heap_(heap),
+        session_(session),
+        self_(self),
+        irregular_(self),
+        me_(self.id()),
+        nprocs_(self.num_nodes()),
+        n_(static_cast<std::size_t>(spec.num_elements)),
+        mine_(spec.owner_range[me_]),
+        ref0_(static_cast<std::int64_t>(me_ * heap.slice_ints)),
+        optimized_(optimized),
+        tournament_(tournament),
+        prefetch_(prefetch),
+        accum_(n_),
+        touches_(nprocs_) {}
+
+  // --- The structure rebuild.  The whole-state read arrives by Validate
+  // (optimized) or demand paging (base); the rebuilt reference list is
+  // published through the shared LIST slice.
+  void rebuild(int /*global_step*/) {
     // This node's rebuild ordinal: the schedule-cache index for both the
     // hit (replay) and miss (record) paths.
-    const std::int64_t ordinal = st.rebuilds;
-    const CachedRebuild* cached = replay_rebuild(session, me, ordinal);
-    if (optimized && spec.rebuild_reads_state) {
-      // Prefetch the whole state with one aggregated exchange per
-      // producer before the structure builder scans it.
-      self.validate({rebuild_read_desc()});
-    }
-    const T* xp = self.ptr(x);
+    const std::int64_t ordinal = rebuilds;
+    const CachedRebuild* cached = replay_rebuild(session_, me_, ordinal);
+    // One aggregated exchange per producer before the builder scans x.
+    if (spec_.rebuild_reads_state) declare({rebuild_read()});
+    const T* xp = self_.ptr(heap_.x);
     WorkItems items;
     if (cached != nullptr) {
-      if (!optimized && spec.rebuild_reads_state) {
+      if (!optimized_ && spec_.rebuild_reads_state) {
         // Base backend, state-reading builder: on a miss the builder's
         // scan of x demand-fetches every invalid page.  Replaying the
         // structure skips the scan, so walk the pages explicitly — one
         // volatile touch per page — to keep the hit's fault traffic
         // identical to the miss's.
         const auto* xb = reinterpret_cast<const volatile std::byte*>(xp);
-        const std::size_t xbytes = n * sizeof(T);
-        for (std::size_t off = 0; off < xbytes; off += self.page_size()) {
+        const std::size_t xbytes = n_ * sizeof(T);
+        for (std::size_t off = 0; off < xbytes; off += self_.page_size()) {
           (void)xb[off];
         }
       }
       items = cached->items;
-      st.account.refs = cached->shape.num_refs;
-      st.account.max_row = cached->shape.max_row;
+      account.refs = cached->shape.num_refs;
+      account.max_row = cached->shape.max_row;
     } else {
-      items = spec.build_items(st.irregular, std::span<const T>(xp, n));
-      const ItemsShape shape = spec.require_valid_items(items);
-      st.account.refs = shape.num_refs;
-      st.account.max_row = shape.max_row;
+      items = spec_.build_items(irregular_, std::span<const T>(xp, n_));
+      const ItemsShape shape = spec_.require_valid_items(items);
+      account.refs = shape.num_refs;
+      account.max_row = shape.max_row;
       // Copy: `items` is consumed below.
-      record_rebuild(session, me, ordinal,
+      record_rebuild(session_, me_, ordinal,
                      [&] { return CachedRebuild{items, shape, nullptr, {}}; });
     }
-    if (optimized) {
-      // The whole slice is rewritten: whole-page shipping, no twins.
-      // Declaring the write also notifies any schedule watching these
-      // indirection pages, exactly as a faulting write would.
-      self.validate(
-          {core::DescriptorBuilder::array(list, list_layout)
-               .elements(static_cast<std::int64_t>(me * slice_ints),
-                         static_cast<std::int64_t>((me + 1) * slice_ints) - 1)
-               .schedule(kSchedListWrite)
-               .write_all()});
-    }
-    std::int32_t* lp = self.ptr(list) + me * slice_ints;
-    std::fill(st.touches.begin(), st.touches.end(), false);
+    // The whole slice is rewritten: whole-page shipping, no twins.
+    // Declaring the write also notifies any schedule watching these
+    // indirection pages, exactly as a faulting write would.
+    const auto slice = static_cast<std::int64_t>(heap_.slice_ints);
+    declare({dense(heap_.list, {ref0_, ref0_ + slice}, kSchedListWrite)
+                 .write_all()});
+    std::int32_t* lp = self_.ptr(heap_.list) + ref0_;
+    std::fill(touches_.begin(), touches_.end(), false);
     for (std::size_t k = 0; k < items.refs.size(); ++k) {
       const std::int64_t g = items.refs[k];
       lp[k] = static_cast<std::int32_t>(g);
-      st.touches[owner_of(spec.owner_range, g)] = true;
+      touches_[owner_of(spec_.owner_range, g)] = true;
     }
-    st.row_offsets = std::move(items.row_offsets);
-    st.payload = std::move(items.payload);
-    ++st.rebuilds;
-    if (tournament) {
+    row_offsets_ = std::move(items.row_offsets);
+    payload_ = std::move(items.payload);
+    ++rebuilds;
+    const part::Range all_nodes{0, nprocs_};
+    if (tournament_) {
       // Publish this node's touch-matrix row; the rebuild barrier below
       // makes every row visible to every node.
-      if (optimized) {
-        self.validate(
-            {core::DescriptorBuilder::array(touch_rows[me], node_layout)
-                 .elements(0, nprocs - 1)
-                 .schedule(kSchedTouchWrite)
-                 .write()});
-      }
-      std::uint8_t* tp = self.ptr(touch_rows[me]);
-      for (std::uint32_t q = 0; q < nprocs; ++q) {
-        tp[q] = st.touches[q] ? 1 : 0;
-      }
+      declare({dense(heap_.touch_rows[me_], all_nodes, kSchedTouchWrite)
+                   .write()});
+      std::uint8_t* tp = self_.ptr(heap_.touch_rows[me_]);
+      for (std::uint32_t q = 0; q < nprocs_; ++q) tp[q] = touches_[q] ? 1 : 0;
     }
-    self.barrier();
-    if (tournament) {
-      // Read the full matrix (one aggregated fetch per producer under
-      // Validate, demand faults on the base backend) and derive the
-      // bracket.  Every node sees the identical matrix, so the fused
-      // rounds agree globally without any extra coordination.
-      if (optimized) {
-        std::vector<core::AccessDescriptor> reads;
-        for (std::uint32_t q = 0; q < nprocs; ++q) {
-          if (q == me) continue;
-          reads.push_back(
-              core::DescriptorBuilder::array(touch_rows[q], node_layout)
-                  .elements(0, nprocs - 1)
-                  .schedule(kSchedTouchRead)
-                  .read());
-        }
-        self.validate(reads);
-      }
-      std::vector<std::uint8_t> matrix(static_cast<std::size_t>(nprocs) *
-                                       nprocs);
-      for (std::uint32_t q = 0; q < nprocs; ++q) {
-        const std::uint8_t* row = self.ptr(touch_rows[q]);
-        std::copy(row, row + nprocs, matrix.begin() + q * nprocs);
-      }
-      st.plan = build_tournament_plan(me, nprocs, spec.owner_range, matrix);
+    self_.barrier();
+    if (!tournament_) return;
+    // Read the full matrix (one aggregated fetch per producer under
+    // Validate, demand faults on the base backend) and derive the bracket.
+    // Every node sees the identical matrix, so the fused rounds agree
+    // globally without any extra coordination.
+    std::vector<core::AccessDescriptor> reads;
+    for (std::uint32_t q = 0; q < nprocs_; ++q) {
+      if (q == me_) continue;
+      reads.push_back(
+          dense(heap_.touch_rows[q], all_nodes, kSchedTouchRead).read());
     }
+    declare(reads);
+    std::vector<std::uint8_t> matrix(static_cast<std::size_t>(nprocs_) *
+                                     nprocs_);
+    for (std::uint32_t q = 0; q < nprocs_; ++q) {
+      const std::uint8_t* row = self_.ptr(heap_.touch_rows[q]);
+      std::copy(row, row + nprocs_, matrix.begin() + q * nprocs_);
+    }
+    plan_ = build_tournament_plan(me_, nprocs_, spec_.owner_range, matrix);
   }
 
   // --- The computational step.
@@ -494,202 +468,65 @@ struct PageDsm {
   // Validate (optimized); the reduction flows through the shared f array
   // under the selected round schedule; the owner update writes the state
   // region in place.
-  void execute_step(Node& st) {
-    core::DsmNode& self = st.self;
-    const NodeId me = self.id();
-    const part::Range mine = spec.owner_range[me];
-    T* xp = self.ptr(x);
-    T* fp = self.ptr(f);
+  void execute_step(int /*global_step*/) {
+    T* xp = self_.ptr(heap_.x);
+    T* fp = self_.ptr(heap_.f);
     // The compute loop (the compiled kernel), accumulating privately.
     // Seeded with the reduction identity, NOT zero: for a min-reduction
     // every untouched element — including every element of a node whose
     // frontier is empty — must contribute nothing, and the serial round-0
     // owner write / tournament owner write publish this accumulator
     // verbatim.
-    std::fill(st.accum.begin(), st.accum.end(), spec.f_identity);
-    const std::int64_t my_ref0 =
-        static_cast<std::int64_t>(me) * static_cast<std::int64_t>(slice_ints);
-    if (optimized) {
+    std::fill(accum_.begin(), accum_.end(), spec_.f_identity);
+    if (optimized_) {
       // Offset-driven bounds: this node's rows occupy the flat range
-      // [my_ref0, my_ref0 + refs) of LIST, whatever their lengths (1-based
-      // inclusive in the mini-Fortran; empty when refs == 0).
+      // [ref0, ref0 + refs) of LIST, whatever their lengths (1-based
+      // inclusive in the mini-Fortran; empty when refs == 0).  Base skips
+      // the lowering, not only the call.
       const compiler::Env env{
-          {"MY_REF_START", static_cast<long long>(my_ref0) + 1},
-          {"MY_REF_END", static_cast<long long>(my_ref0) +
-                             static_cast<long long>(st.account.refs)}};
-      self.validate(
-          compiler::lower_validate(compiled_validate_stmt(), bindings, env));
+          {"MY_REF_START", static_cast<long long>(ref0_) + 1},
+          {"MY_REF_END", static_cast<long long>(ref0_) +
+                             static_cast<long long>(account.refs)}};
+      self_.validate(compiler::lower_validate(compiled_validate_stmt(),
+                                              heap_.bindings, env));
     }
     KernelCtx<T> ctx;
-    ctx.row_offsets = std::span<const std::int64_t>(st.row_offsets);
-    ctx.refs = std::span<const std::int32_t>(self.ptr(list) + my_ref0,
-                                             st.account.refs);
-    ctx.payload = std::span<const double>(st.payload);
-    ctx.x = std::span<const T>(xp, n);
-    ctx.f = std::span<T>(st.accum);
-    spec.compute(st.irregular, ctx);
+    ctx.row_offsets = std::span<const std::int64_t>(row_offsets_);
+    ctx.refs = std::span<const std::int32_t>(self_.ptr(heap_.list) + ref0_,
+                                             account.refs);
+    ctx.payload = std::span<const double>(payload_);
+    ctx.x = std::span<const T>(xp, n_);
+    ctx.f = std::span<T>(accum_);
+    spec_.compute(irregular_, ctx);
 
-    if (!tournament) {
-      // Serial rotation pipeline: nprocs rounds, round r updates chunk
-      // (me + r) % nprocs in place.  Round 0 is the owner initializing its
-      // own chunk (WRITE_ALL); later rounds accumulate (READ&WRITE_ALL)
-      // and are skipped for chunks this node's items never touch.
-      const auto reduce_desc = [&](std::uint32_t r) {
-        const NodeId c = (me + r) % nprocs;
-        const part::Range chunk = spec.owner_range[c];
-        return core::DescriptorBuilder::array(f, x_layout)
-            .elements(chunk.begin, chunk.end - 1)
-            .schedule(kSchedReduceBase + c)
-            .finish(r == 0 ? core::Access::kWriteAll
-                           : core::Access::kReadWriteAll);
-      };
-      const auto participates = [&](std::uint32_t r) {
-        const NodeId c = (me + r) % nprocs;
-        return spec.owner_range[c].size() > 0 && (r == 0 || st.touches[c]);
-      };
-      for (std::uint32_t r = 0; r < nprocs; ++r) {
-        if (participates(r)) {
-          const NodeId c = (me + r) % nprocs;
-          const part::Range chunk = spec.owner_range[c];
-          if (optimized) self.validate({reduce_desc(r)});
-          if (r == 0) {
-            for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-              fp[i] = st.accum[static_cast<std::size_t>(i)];
-            }
-          } else {
-            for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-              fp[i] =
-                  spec.combine(fp[i], st.accum[static_cast<std::size_t>(i)]);
-            }
-          }
-        }
-        self.barrier();
-        // Cross-step prefetch: the schedule is deterministic, so round
-        // r+1's chunk — and the diffs its pages need — is final the moment
-        // this barrier returns.  Posting the same aggregated requests the
-        // next validate would post moves their flight time under the
-        // validate's own bookkeeping; the traffic is message-for-message
-        // identical either way.
-        if (prefetch && r + 1 < nprocs && participates(r + 1)) {
-          self.post_validate_prefetch({reduce_desc(r + 1)});
-        }
-      }
+    if (tournament_) {
+      reduce_tournament(fp);
     } else {
-      // Tournament schedule: ceil(log2(contributors)) fused rounds.  In
-      // round k every loser publishes its running partial for its chunk
-      // into its own scratch slice, the barrier makes the publishes
-      // visible, and every winner combines its partner's partial into its
-      // private accumulator.  After the last round each chunk's total sits
-      // with its owner, which alone writes f.
-      const TournamentPlan& plan = st.plan;
-      const auto combine_descs = [&](int k) {
-        std::vector<core::AccessDescriptor> descs;
-        for (const RoundOp& op : plan.combine[static_cast<std::size_t>(k)]) {
-          descs.push_back(
-              core::DescriptorBuilder::array(scratch[op.partner], x_layout)
-                  .elements(op.range.begin, op.range.end - 1)
-                  .schedule(kSchedScratchReadBase + op.chunk)
-                  .read());
-        }
-        return descs;
-      };
-      for (int k = 0; k < plan.rounds; ++k) {
-        const auto& pubs = plan.publish[static_cast<std::size_t>(k)];
-        if (!pubs.empty()) {
-          if (optimized) {
-            std::vector<core::AccessDescriptor> writes;
-            for (const RoundOp& op : pubs) {
-              writes.push_back(
-                  core::DescriptorBuilder::array(scratch[me], x_layout)
-                      .elements(op.range.begin, op.range.end - 1)
-                      .schedule(kSchedScratchPubBase + op.chunk)
-                      .write_all());
-            }
-            self.validate(writes);
-          }
-          T* sp = self.ptr(scratch[me]);
-          for (const RoundOp& op : pubs) {
-            for (std::int64_t i = op.range.begin; i < op.range.end; ++i) {
-              sp[i] = st.accum[static_cast<std::size_t>(i)];
-            }
-          }
-        }
-        self.barrier();
-        const auto& combs = plan.combine[static_cast<std::size_t>(k)];
-        if (!combs.empty()) {
-          // The partners' partials are final at the barrier exit, so their
-          // aggregated requests can fly while the validate below plans
-          // (and while this node runs its own publishes' copies next round
-          // on the base path).
-          const auto descs = combine_descs(k);
-          if (prefetch) self.post_validate_prefetch(descs);
-          if (optimized) self.validate(descs);
-          for (const RoundOp& op : combs) {
-            const T* sp = self.ptr(scratch[op.partner]);
-            for (std::int64_t i = op.range.begin; i < op.range.end; ++i) {
-              st.accum[static_cast<std::size_t>(i)] =
-                  spec.combine(st.accum[static_cast<std::size_t>(i)], sp[i]);
-            }
-          }
-        }
-      }
-      // Owner-only write of the shared reduction array; everyone else's
-      // contribution already arrived through the bracket.  No barrier
-      // needed before the update below reads it — the write is local — and
-      // the step barrier publishes it for the next compute validate.
-      if (mine.size() > 0) {
-        if (optimized) {
-          self.validate({core::DescriptorBuilder::array(f, x_layout)
-                             .elements(mine.begin, mine.end - 1)
-                             .schedule(kSchedReduceBase + me)
-                             .write_all()});
-        }
-        for (std::int64_t i = mine.begin; i < mine.end; ++i) {
-          fp[i] = st.accum[static_cast<std::size_t>(i)];
-        }
-      }
+      reduce_serial(fp);
     }
 
     // Owner update of the state from the reduced contributions.
-    if (spec.update) {
-      if (optimized && mine.size() > 0) {
-        self.validate({core::DescriptorBuilder::array(f, x_layout)
-                           .elements(mine.begin, mine.end - 1)
-                           .schedule(kSchedUpdateRead)
-                           .read(),
-                       core::DescriptorBuilder::array(x, x_layout)
-                           .elements(mine.begin, mine.end - 1)
-                           .schedule(kSchedUpdateWrite)
-                           .read_write_all()});
-      }
-      spec.update(
-          std::span<T>(xp + mine.begin, static_cast<std::size_t>(mine.size())),
-          std::span<const T>(fp + mine.begin,
-                             static_cast<std::size_t>(mine.size())));
+    if (!spec_.update) return;
+    if (mine_.size() > 0) {
+      declare({dense(heap_.f, mine_, kSchedUpdateRead).read(),
+               dense(heap_.x, mine_, kSchedUpdateWrite).read_write_all()});
     }
+    const auto owned = static_cast<std::size_t>(mine_.size());
+    spec_.update(std::span<T>(xp + mine_.begin, owned),
+                 std::span<const T>(fp + mine_.begin, owned));
   }
 
-  bool finish_step(Node& st, int global_step, bool last) {
-    core::DsmNode& self = st.self;
-    const NodeId me = self.id();
+  bool finish_step(int global_step, bool last_in_section) {
     // Convergence verdict: published into this node's flag byte before the
     // step barrier, so the barrier's write notices carry every node's
     // verdict to every node.
-    if (has_conv) {
-      const part::Range mine = spec.owner_range[me];
-      const bool mine_done = spec.converged(
-          st.irregular,
-          std::span<const T>(self.ptr(x) + mine.begin,
-                             static_cast<std::size_t>(mine.size())));
-      if (optimized) {
-        self.validate({core::DescriptorBuilder::array(conv_flags, node_layout)
-                           .elements(me, me)
-                           .schedule(kSchedConvWrite)
-                           .write()});
-      }
-      self.ptr(conv_flags)[me] = mine_done ? 1 : 0;
+    if (spec_.converged) {
+      const bool mine_done = spec_.converged(irregular_, owned_state());
+      declare({dense(heap_.conv_flags, {me_, me_ + 1}, kSchedConvWrite)
+                   .write()});
+      self_.ptr(heap_.conv_flags)[me_] = mine_done ? 1 : 0;
     }
-    self.barrier();
+    self_.barrier();
 
     // Cross-step prefetch of the next rebuild's whole-state read: at the
     // barrier exit the state is final (nothing writes x until the next
@@ -698,45 +535,169 @@ struct PageDsm {
     // the loop, the post is left in flight and settled by the teardown
     // drain (DsmRuntime::run) — the one case where prefetching costs
     // traffic a non-prefetched run would not pay.
-    if (prefetch && spec.rebuild_reads_state && !last &&
-        spec.rebuild_needed(global_step + 1)) {
-      self.post_validate_prefetch({rebuild_read_desc()});
+    if (prefetch_ && spec_.rebuild_reads_state && !last_in_section &&
+        spec_.rebuild_needed(global_step + 1)) {
+      declare({rebuild_read()}, /*ahead=*/true);
     }
 
     // Read every node's verdict (aggregated fetch under Validate, demand
     // faults on the base backend); all nodes see the identical flags, so
     // the loop terminates globally or not at all.
-    if (!has_conv) return false;
-    if (optimized) {
-      self.validate({core::DescriptorBuilder::array(conv_flags, node_layout)
-                         .elements(0, nprocs - 1)
-                         .schedule(kSchedConvRead)
-                         .read()});
-    }
-    const std::uint8_t* cp = self.ptr(conv_flags);
+    if (!spec_.converged) return false;
+    declare({dense(heap_.conv_flags, {0, nprocs_}, kSchedConvRead).read()});
+    const std::uint8_t* cp = self_.ptr(heap_.conv_flags);
     bool all = true;
-    for (std::uint32_t q = 0; q < nprocs; ++q) all = all && cp[q] != 0;
+    for (std::uint32_t q = 0; q < nprocs_; ++q) all = all && cp[q] != 0;
     return all;
   }
 
-  const KernelSpec<T>& spec;
-  RunSession* session;
-  const BackendOptions& options;
-  const std::uint32_t nprocs;
-  const std::size_t n;
-  const bool optimized;
-  const bool tournament;
-  const bool prefetch;
-  const bool has_conv;
-  std::size_t slice_ints = 0;
-  core::GlobalArray<T> x{}, f{};
-  core::GlobalArray<std::int32_t> list{};
-  std::vector<core::GlobalArray<std::uint8_t>> touch_rows;
-  std::vector<core::GlobalArray<T>> scratch;
-  core::GlobalArray<std::uint8_t> conv_flags{};
-  rsd::ArrayLayout x_layout, list_layout;
-  rsd::ArrayLayout node_layout;  ///< one entry per node: touch rows, flags
-  compiler::Bindings bindings;
+  void record_checksum() { account.checksum = spec_.checksum(owned_state()); }
+
+ private:
+  /// Declares accesses as the compiler's Validate does: validated on
+  /// kTmkOptimized, nothing on kTmkBase.  `ahead` posts the fetches from a
+  /// barrier exit instead (cross-step prefetch), for the next validate of
+  /// the same pages to complete; it rides the Validate machinery too, so
+  /// base demand paging, which fetches page by page, never posts one.
+  void declare(const std::vector<core::AccessDescriptor>& descs,
+               bool ahead = false) {
+    if (!optimized_) return;
+    if (ahead) {
+      self_.post_validate_prefetch(descs);
+    } else {
+      self_.validate(descs);
+    }
+  }
+
+  // The rebuild's whole-state read: declared at the rebuild itself, and —
+  // with cross-step prefetch — ahead from the previous step's barrier
+  // exit, so the same pages fly the same way and only the wait moves.
+  core::AccessDescriptor rebuild_read() const {
+    return dense(heap_.x, {0, spec_.num_elements}, kSchedRebuildRead).read();
+  }
+
+  std::span<const T> owned_state() const {
+    return {self_.ptr(heap_.x) + mine_.begin,
+            static_cast<std::size_t>(mine_.size())};
+  }
+
+  // Serial rotation pipeline: nprocs rounds, round r updates chunk
+  // (me + r) % nprocs in place.  Round 0 is the owner initializing its
+  // own chunk (WRITE_ALL); later rounds accumulate (READ&WRITE_ALL) and
+  // are skipped for chunks this node's items never touch.
+  void reduce_serial(T* fp) {
+    const auto reduce_desc = [&](std::uint32_t r) {
+      const NodeId c = (me_ + r) % nprocs_;
+      return dense(heap_.f, spec_.owner_range[c], kSchedReduceBase + c)
+          .finish(r == 0 ? core::Access::kWriteAll
+                         : core::Access::kReadWriteAll);
+    };
+    const auto participates = [&](std::uint32_t r) {
+      const NodeId c = (me_ + r) % nprocs_;
+      return spec_.owner_range[c].size() > 0 && (r == 0 || touches_[c]);
+    };
+    for (std::uint32_t r = 0; r < nprocs_; ++r) {
+      if (participates(r)) {
+        const part::Range chunk = spec_.owner_range[(me_ + r) % nprocs_];
+        declare({reduce_desc(r)});
+        if (r == 0) {
+          for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
+            fp[i] = accum_[static_cast<std::size_t>(i)];
+          }
+        } else {
+          for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
+            fp[i] = spec_.combine(fp[i], accum_[static_cast<std::size_t>(i)]);
+          }
+        }
+      }
+      self_.barrier();
+      // Cross-step prefetch: the schedule is deterministic, so round
+      // r+1's chunk — and the diffs its pages need — is final the moment
+      // this barrier returns.  Posting the same aggregated requests the
+      // next validate would post moves their flight time under the
+      // validate's own bookkeeping; the traffic is message-for-message
+      // identical either way.
+      if (prefetch_ && r + 1 < nprocs_ && participates(r + 1)) {
+        declare({reduce_desc(r + 1)}, /*ahead=*/true);
+      }
+    }
+  }
+
+  // Tournament schedule: ceil(log2(contributors)) fused rounds.  In round
+  // k every loser publishes its running partial for its chunk into its
+  // own scratch slice, the barrier makes the publishes visible, and every
+  // winner combines its partner's partial into its private accumulator.
+  // After the last round each chunk's total sits with its owner, which
+  // alone writes f.
+  void reduce_tournament(T* fp) {
+    for (int k = 0; k < plan_.rounds; ++k) {
+      const auto& pubs = plan_.publish[static_cast<std::size_t>(k)];
+      if (!pubs.empty()) {
+        std::vector<core::AccessDescriptor> writes;
+        for (const RoundOp& op : pubs) {
+          writes.push_back(dense(heap_.scratch[me_], op.range,
+                                 kSchedScratchPubBase + op.chunk)
+                               .write_all());
+        }
+        declare(writes);
+        T* sp = self_.ptr(heap_.scratch[me_]);
+        for (const RoundOp& op : pubs) {
+          for (std::int64_t i = op.range.begin; i < op.range.end; ++i) {
+            sp[i] = accum_[static_cast<std::size_t>(i)];
+          }
+        }
+      }
+      self_.barrier();
+      const auto& combs = plan_.combine[static_cast<std::size_t>(k)];
+      if (combs.empty()) continue;
+      // The partners' partials are final at the barrier exit, so their
+      // aggregated requests can fly while the validate below plans.
+      std::vector<core::AccessDescriptor> reads;
+      for (const RoundOp& op : combs) {
+        reads.push_back(dense(heap_.scratch[op.partner], op.range,
+                              kSchedScratchReadBase + op.chunk)
+                            .read());
+      }
+      if (prefetch_) declare(reads, /*ahead=*/true);
+      declare(reads);
+      for (const RoundOp& op : combs) {
+        const T* sp = self_.ptr(heap_.scratch[op.partner]);
+        for (std::int64_t i = op.range.begin; i < op.range.end; ++i) {
+          accum_[static_cast<std::size_t>(i)] =
+              spec_.combine(accum_[static_cast<std::size_t>(i)], sp[i]);
+        }
+      }
+    }
+    // Owner-only write of the shared reduction array; everyone else's
+    // contribution already arrived through the bracket.  No barrier
+    // needed before the update reads it — the write is local — and the
+    // step barrier publishes it for the next compute validate.
+    if (mine_.size() == 0) return;
+    declare({dense(heap_.f, mine_, kSchedReduceBase + me_).write_all()});
+    for (std::int64_t i = mine_.begin; i < mine_.end; ++i) {
+      fp[i] = accum_[static_cast<std::size_t>(i)];
+    }
+  }
+
+  const KernelSpec<T>& spec_;
+  const PageHeap<T>& heap_;
+  RunSession* const session_;
+  core::DsmNode& self_;
+  TmkIrregularNode irregular_;
+  const NodeId me_;
+  const std::uint32_t nprocs_;
+  const std::size_t n_;
+  const part::Range mine_;   ///< this node's owned block of x and f
+  const std::int64_t ref0_;  ///< this node's first LIST index
+  const bool optimized_;
+  const bool tournament_;
+  const bool prefetch_;
+  std::vector<T> accum_;  ///< private full-size reduction array (the
+                          ///< memory cost the paper notes for Tmk)
+  std::vector<std::int64_t> row_offsets_;
+  std::vector<double> payload_;
+  std::vector<bool> touches_;  ///< chunks this node's items reference
+  TournamentPlan plan_;        ///< this node's bracket (tournament mode)
 };
 
 template <typename T>
@@ -744,16 +705,19 @@ KernelResult run_page_dsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
                           RunSession* session, const BackendOptions& options,
                           std::uint32_t nprocs, Backend kind) {
   const DsmStats::Snapshot stats_entry = rt.stats().snapshot();
-  PageDsm<T> run(rt, spec, session, options, nprocs,
-                 /*optimized=*/kind == Backend::kTmkOptimized);
-  std::vector<std::unique_ptr<typename PageDsm<T>::Node>> nodes(nprocs);
+  const bool tournament = options.round_schedule == RoundSchedule::kTournament;
+  const PageHeap<T> heap = alloc_page_heap(rt, spec, nprocs, tournament);
+  std::vector<std::unique_ptr<PageProtocol<T>>> nodes(nprocs);
 
   // Node 0 seeds the shared state before the (un)timed sections.
   rt.run([&](core::DsmNode& self) {
-    nodes[self.id()] = std::make_unique<typename PageDsm<T>::Node>(run, self);
+    nodes[self.id()] = std::make_unique<PageProtocol<T>>(
+        spec, heap, session, self,
+        /*optimized=*/kind == Backend::kTmkOptimized, tournament,
+        /*prefetch=*/options.cross_step_prefetch);
     if (self.id() == 0) {
       std::copy(spec.initial_state.begin(), spec.initial_state.end(),
-                self.ptr(run.x));
+                self.ptr(heap.x));
     }
     self.barrier();
   });
@@ -781,17 +745,12 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
   // which makes the owner's WRITE_ALL update twin-free with no
   // boundary-page cross-invalidation.
   std::vector<core::GlobalArray<T>> xs(nprocs);
-  std::vector<rsd::ArrayLayout> slice_layout(nprocs);
   for (std::uint32_t q = 0; q < nprocs; ++q) {
     const std::int64_t sz = spec.owner_range[q].size();
-    if (sz > 0) {
-      xs[q] = rt.alloc_global<T>(static_cast<std::size_t>(sz));
-      slice_layout[q] = rsd::ArrayLayout{{sz}, true};
-    }
+    if (sz > 0) xs[q] = rt.alloc_global<T>(static_cast<std::size_t>(sz));
   }
-  const auto slice = [&](NodeId q) {
-    return core::DescriptorBuilder::array(xs[q], slice_layout[q])
-        .elements(0, spec.owner_range[q].size() - 1);
+  const auto slice = [&](NodeId q, std::uint32_t sched) {
+    return dense(xs[q], {0, spec.owner_range[q].size()}, sched);
   };
 
   // The indirection under the inspector: same translation table the
@@ -820,7 +779,7 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
       std::vector<core::AccessDescriptor> reads;
       for (std::uint32_t q = 0; q < nprocs; ++q) {
         if (q == me || spec.owner_range[q].size() == 0) continue;
-        reads.push_back(slice(q).schedule(kSchedRebuildRead).read());
+        reads.push_back(slice(q, kSchedRebuildRead).read());
       }
       self.validate(reads);
       for (std::uint32_t q = 0; q < nprocs; ++q) {
@@ -836,7 +795,7 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
     // notices on the messages it already sends.
     auto publish = [&, me](std::span<const T> owned) {
       if (owned.empty()) return;
-      self.validate({slice(me).schedule(kSchedUpdateWrite).read_write_all()});
+      self.validate({slice(me, kSchedUpdateWrite).read_write_all()});
       std::copy(owned.begin(), owned.end(), self.ptr(xs[me]));
     };
     fabric[me] = std::make_unique<Fabric>(self);
@@ -848,7 +807,7 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
     // byte); the strategy mirrors the same initial values privately.
     const part::Range mine = spec.owner_range[me];
     if (mine.size() > 0) {
-      self.validate({slice(me).schedule(kSchedUpdateWrite).write_all()});
+      self.validate({slice(me, kSchedUpdateWrite).write_all()});
       std::copy(spec.initial_state.begin() + mine.begin,
                 spec.initial_state.begin() + mine.end, self.ptr(xs[me]));
     }

@@ -30,17 +30,13 @@ struct Csr {
   }
 };
 
-/// Result of one sequential reference run; the fields mirror the columns
-/// the paper reports plus the checksum used for cross-variant validation.
-/// Parallel runs through sdsm::api return the richer api::KernelResult.
+/// Result of one sequential reference run: the checksum parallel runs are
+/// validated against and the time speedups are taken over.  A sequential
+/// run has no traffic; parallel runs through sdsm::api return
+/// api::KernelResult.
 struct AppRunResult {
-  double checksum = 0;        ///< order-insensitive force/position digest
-  double seconds = 0;         ///< timed section (excludes init/partitioning)
-  std::uint64_t messages = 0;
-  double megabytes = 0;
-  /// Tmk: time spent in Validate checking/recomputing the indirection
-  /// array; CHAOS: time spent in the inspector (per-node average).
-  double overhead_seconds = 0;
+  double checksum = 0;  ///< order-insensitive force/position digest
+  double seconds = 0;   ///< timed section (excludes init/partitioning)
 };
 
 /// True when two checksums agree to a relative tolerance that absorbs

@@ -348,6 +348,13 @@ TEST_P(ScheduleParity, MoldynOnAllBackends) {
     EXPECT_TRUE(checksum_close(seq.checksum, r.checksum))
         << backend_name(b) << ": " << seq.checksum << " vs " << r.checksum;
     EXPECT_EQ(r.rebuilds, 2) << backend_name(b);
+    // Tmk base runs Tmk optimized's code minus its Validate declarations.
+    if (b == Backend::kTmkBase) {
+      EXPECT_EQ(r.tmk.validate_calls, 0u);
+      EXPECT_EQ(r.tmk.cross_prefetch_posts, 0u);
+    } else if (b == Backend::kTmkOptimized) {
+      EXPECT_GT(r.tmk.validate_calls, 0u);
+    }
   }
 }
 

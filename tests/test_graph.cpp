@@ -60,6 +60,18 @@ TEST(GraphBuild, DeterministicWithTwoComponents) {
   }
 }
 
+// Tmk base runs Tmk optimized's code minus its Validate declarations: the
+// convergence flag, the frontier rebuild and the reduction are declared on
+// the optimized backend only.
+void expect_declarations(Backend b, const KernelResult& r) {
+  if (b == Backend::kTmkBase) {
+    EXPECT_EQ(r.tmk.validate_calls, 0u) << backend_name(b);
+    EXPECT_EQ(r.tmk.cross_prefetch_posts, 0u) << backend_name(b);
+  } else if (b == Backend::kTmkOptimized) {
+    EXPECT_GT(r.tmk.validate_calls, 0u) << backend_name(b);
+  }
+}
+
 // The full acceptance matrix: transports x schedules, swept over all three
 // backends per workload.
 class GraphMatrix
@@ -102,6 +114,7 @@ TEST_P(GraphMatrix, BfsBackendIdenticalWithEarlyExit) {
     // Frontier workloads rebuild at every executed step, warmup included.
     EXPECT_EQ(r.rebuilds, seq_steps + p.warmup_steps) << backend_name(b);
     EXPECT_GT(r.messages, 0u) << backend_name(b);
+    expect_declarations(b, r);
   }
 }
 
@@ -118,6 +131,7 @@ TEST_P(GraphMatrix, CcBackendIdenticalWithEarlyExit) {
     EXPECT_EQ(seq, r.checksum) << backend_name(b);
     EXPECT_EQ(r.steps_run, seq_steps) << backend_name(b);
     EXPECT_EQ(r.rebuilds, seq_steps + p.warmup_steps) << backend_name(b);
+    expect_declarations(b, r);
   }
 }
 

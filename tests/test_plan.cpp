@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/api/api.hpp"
@@ -98,11 +99,49 @@ TEST(DsmExchangeTest, SparseExchangeSkipsEmptyPairs) {
 // workload shapes (they are deterministic functions of the access pattern
 // and the protocol, not of timing), so any drift in the rebuild cadence,
 // barrier placement, or Validate aggregation shows up as a hard failure
-// here before it shows up in the benches.
+// here before it shows up in the benches.  Rows that set a schedule or
+// prefetch pin the page protocol's other paths at these shapes: the
+// tournament schedule, cross-step prefetch and, on bfs, the convergence
+// flag.  Prefetch moves waits, never messages.
 struct ExpectedTraffic {
   Backend backend;
   std::uint64_t messages;
+  RoundSchedule schedule = RoundSchedule::kSerial;
+  bool prefetch = false;  ///< cross-step prefetch
 };
+
+std::string label(const ExpectedTraffic& e) {
+  return std::string(backend_name(e.backend)) + " " +
+         round_schedule_name(e.schedule) + (e.prefetch ? " prefetch" : "");
+}
+
+/// Checks row `e`'s result `r` against the pinned count and the CHAOS
+/// checksum, and the contract between the two Tmk backends: base runs
+/// optimized's code minus its Validate declarations, so it neither
+/// validates nor posts a prefetch.
+void expect_row(const ExpectedTraffic& e, const api::KernelResult& r,
+                double chaos_checksum) {
+  EXPECT_EQ(r.messages, e.messages) << label(e);
+  EXPECT_EQ(r.checksum, chaos_checksum) << label(e);
+  const DsmStats::Snapshot& t = r.tmk;
+  if (e.backend == Backend::kTmkBase) {
+    EXPECT_EQ(t.validate_calls, 0u) << label(e);
+    EXPECT_EQ(t.cross_prefetch_posts, 0u) << label(e);
+  } else if (e.backend == Backend::kTmkOptimized) {
+    EXPECT_GT(t.validate_calls, 0u) << label(e);
+    EXPECT_EQ(t.cross_prefetch_posts > 0, e.prefetch) << label(e);
+    EXPECT_EQ(t.cross_prefetch_posts,
+              t.cross_prefetch_consumes + t.cross_prefetch_drains)
+        << label(e);
+  }
+}
+
+api::BackendOptions with_path(api::BackendOptions opts,
+                              const ExpectedTraffic& e) {
+  opts.round_schedule = e.schedule;
+  opts.cross_step_prefetch = e.prefetch;
+  return opts;
+}
 
 TEST(TrafficParity, SpmvMatchesCommittedCounts) {
   apps::spmv::Params p;
@@ -120,9 +159,7 @@ TEST(TrafficParity, SpmvMatchesCommittedCounts) {
       {Backend::kHybrid, 108u},
   };
   for (const ExpectedTraffic& e : expected) {
-    const api::KernelResult r = apps::spmv::run(e.backend, p, opts);
-    EXPECT_EQ(r.messages, e.messages) << backend_name(e.backend);
-    EXPECT_EQ(r.checksum, chaos_checksum) << backend_name(e.backend);
+    expect_row(e, apps::spmv::run(e.backend, p, opts), chaos_checksum);
   }
 }
 
@@ -141,11 +178,33 @@ TEST(TrafficParity, MoldynMatchesCommittedCounts) {
       {Backend::kTmkBase, 670u},
       {Backend::kTmkOptimized, 562u},
       {Backend::kHybrid, 232u},
+      {Backend::kTmkBase, 670u, RoundSchedule::kSerial, true},
+      {Backend::kTmkOptimized, 562u, RoundSchedule::kSerial, true},
+      {Backend::kTmkBase, 570u, RoundSchedule::kTournament, true},
+      {Backend::kTmkOptimized, 478u, RoundSchedule::kTournament, true},
   };
   for (const ExpectedTraffic& e : expected) {
-    const api::KernelResult r = apps::moldyn::run(e.backend, p, sys, opts);
-    EXPECT_EQ(r.messages, e.messages) << backend_name(e.backend);
-    EXPECT_EQ(r.checksum, chaos_checksum) << backend_name(e.backend);
+    expect_row(e, apps::moldyn::run(e.backend, p, sys, with_path(opts, e)),
+               chaos_checksum);
+  }
+}
+
+TEST(TrafficParity, BfsMatchesPinnedCounts) {
+  apps::graph::Params p;
+  p.num_vertices = 1024;
+  p.nprocs = kNodes;
+  const api::BackendOptions opts = apps::bfs::default_options();
+  const double chaos_checksum =
+      apps::bfs::run(Backend::kChaos, p, opts).checksum;
+  const ExpectedTraffic expected[] = {
+      {Backend::kTmkBase, 606u, RoundSchedule::kSerial, true},
+      {Backend::kTmkOptimized, 698u, RoundSchedule::kSerial, true},
+      {Backend::kTmkBase, 482u, RoundSchedule::kTournament, true},
+      {Backend::kTmkOptimized, 536u, RoundSchedule::kTournament, true},
+  };
+  for (const ExpectedTraffic& e : expected) {
+    expect_row(e, apps::bfs::run(e.backend, p, with_path(opts, e)),
+               chaos_checksum);
   }
 }
 
