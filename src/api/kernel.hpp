@@ -135,6 +135,23 @@ enum class Reduce : std::uint8_t {
   kMin,  ///< f[i] = min(f[i], contribution); identity = an unreachable max
 };
 
+/// What KernelSpec::build_items reads of the current state (`all_x`).  The
+/// backends make exactly the declared part coherent before the builder
+/// runs: Tmk optimized validates it, Tmk base demand-faults what the
+/// builder touches, and CHAOS and the hybrid copy the owned block locally
+/// and fetch the rest only for kAll (an allgather on CHAOS, one aggregated
+/// Validate over the owners' slices on the hybrid).
+///
+/// The own-block contract: a kOwnBlock builder may read only
+/// all_x[owner_range[me]], and every other element is unspecified.  The
+/// page DSM still maps the other elements, so a stray read there faults in
+/// and stays correct; CHAOS and the hybrid leave them unset.
+enum class RebuildReads : std::uint8_t {
+  kNothing,   ///< a static structure: all_x is empty
+  kOwnBlock,  ///< the node's own block (a frontier of owned vertices)
+  kAll,       ///< the whole state (a neighbour search over positions)
+};
+
 inline double reduce_combine(Reduce op, double a, double b) {
   return op == Reduce::kSum ? a + b : std::min(a, b);
 }
@@ -194,7 +211,7 @@ struct KernelSpec {
   /// every step and all evaluations of the same step must agree, or the
   /// backends' collective rebuild phases (allgather, touch-matrix
   /// republish, schedule refresh) would wedge.  State-dependence belongs
-  /// in build_items (via rebuild_reads_state), not here.
+  /// in build_items (declared by rebuild_reads), not here.
   std::function<bool(int global_step)> rebuild_when;
 
   /// The reduction operator and its identity (see Reduce).  f_identity
@@ -205,10 +222,10 @@ struct KernelSpec {
 
   std::int64_t max_items_per_node = 0;  ///< row-count bound for the backends
   std::int64_t max_refs_per_node = 0;   ///< flattened-reference bound
-  /// True when build_items reads the current state (all_x): the backends
-  /// then materialize a coherent global view first (Validate prefetch /
-  /// allgather).  Static structures leave it false.
-  bool rebuild_reads_state = false;
+  /// What build_items reads of the current state (see RebuildReads): the
+  /// backends make that part of all_x coherent first.  Static structures
+  /// leave it kNothing.
+  RebuildReads rebuild_reads = RebuildReads::kNothing;
 
   /// True when build_items is a pure function of (node, step-ordinal,
   /// all_x-at-that-ordinal) — i.e. re-running the kernel over the same
@@ -221,7 +238,8 @@ struct KernelSpec {
   bool structure_cacheable = false;
 
   /// Builds this node's items from the current global state view (all_x is
-  /// empty unless rebuild_reads_state).  Must be deterministic.
+  /// empty under RebuildReads::kNothing; under kOwnBlock only the owned
+  /// block is specified).  Must be deterministic.
   std::function<WorkItems(IrregularNode&, std::span<const T> all_x)>
       build_items;
 

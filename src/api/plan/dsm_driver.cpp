@@ -379,28 +379,31 @@ class PageProtocol : public NodeTally {
         accum_(n_),
         touches_(nprocs_) {}
 
-  // --- The structure rebuild.  The whole-state read arrives by Validate
-  // (optimized) or demand paging (base); the rebuilt reference list is
-  // published through the shared LIST slice.
+  // --- The structure rebuild.  The declared state read arrives by
+  // Validate (optimized) or demand paging (base); the rebuilt reference
+  // list is published through the shared LIST slice.
   void rebuild(int /*global_step*/) {
     // This node's rebuild ordinal: the schedule-cache index for both the
     // hit (replay) and miss (record) paths.
     const std::int64_t ordinal = rebuilds;
     const CachedRebuild* cached = replay_rebuild(session_, me_, ordinal);
     // One aggregated exchange per producer before the builder scans x.
-    if (spec_.rebuild_reads_state) declare({rebuild_read()});
+    if (reads_state()) declare({rebuild_read()});
     const T* xp = self_.ptr(heap_.x);
     WorkItems items;
     if (cached != nullptr) {
-      if (!optimized_ && spec_.rebuild_reads_state) {
+      if (!optimized_ && reads_state()) {
         // Base backend, state-reading builder: on a miss the builder's
-        // scan of x demand-fetches every invalid page.  Replaying the
-        // structure skips the scan, so walk the pages explicitly — one
-        // volatile touch per page — to keep the hit's fault traffic
-        // identical to the miss's.
+        // scan of the declared range demand-fetches every invalid page.
+        // Replaying the structure skips the scan, so walk those pages
+        // explicitly — one volatile touch per page — to keep the hit's
+        // fault traffic identical to the miss's.
+        const part::Range r = rebuild_range();
+        const std::size_t page = self_.page_size();
         const auto* xb = reinterpret_cast<const volatile std::byte*>(xp);
-        const std::size_t xbytes = n_ * sizeof(T);
-        for (std::size_t off = 0; off < xbytes; off += self_.page_size()) {
+        for (auto off = static_cast<std::size_t>(r.begin) * sizeof(T);
+             off < static_cast<std::size_t>(r.end) * sizeof(T);
+             off = (off / page + 1) * page) {
           (void)xb[off];
         }
       }
@@ -528,14 +531,14 @@ class PageProtocol : public NodeTally {
     }
     self_.barrier();
 
-    // Cross-step prefetch of the next rebuild's whole-state read: at the
+    // Cross-step prefetch of the next rebuild's state read: at the
     // barrier exit the state is final (nothing writes x until the next
     // update phase), so the aggregated requests the rebuild validate would
     // post can fly under the convergence check below.  If that check ends
     // the loop, the post is left in flight and settled by the teardown
     // drain (DsmRuntime::run) — the one case where prefetching costs
     // traffic a non-prefetched run would not pay.
-    if (prefetch_ && spec_.rebuild_reads_state && !last_in_section &&
+    if (prefetch_ && reads_state() && !last_in_section &&
         spec_.rebuild_needed(global_step + 1)) {
       declare({rebuild_read()}, /*ahead=*/true);
     }
@@ -569,11 +572,22 @@ class PageProtocol : public NodeTally {
     }
   }
 
-  // The rebuild's whole-state read: declared at the rebuild itself, and —
-  // with cross-step prefetch — ahead from the previous step's barrier
-  // exit, so the same pages fly the same way and only the wait moves.
+  bool reads_state() const {
+    return spec_.rebuild_reads != RebuildReads::kNothing;
+  }
+
+  /// The elements of x the builder reads: its own block, or all of x.
+  part::Range rebuild_range() const {
+    return spec_.rebuild_reads == RebuildReads::kOwnBlock
+               ? mine_
+               : part::Range{0, spec_.num_elements};
+  }
+
+  // The rebuild's state read: declared at the rebuild itself, and — with
+  // cross-step prefetch — ahead from the previous step's barrier exit, so
+  // the same pages fly the same way and only the wait moves.
   core::AccessDescriptor rebuild_read() const {
-    return dense(heap_.x, {0, spec_.num_elements}, kSchedRebuildRead).read();
+    return dense(heap_.x, rebuild_range(), kSchedRebuildRead).read();
   }
 
   std::span<const T> owned_state() const {
@@ -771,10 +785,11 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
 
   rt.run([&](core::DsmNode& self) {
     const NodeId me = self.id();
-    // Rebuild state read: one aggregated Validate over every other owner's
-    // slice — request + reply per producer, the same 2(N-1) messages per
-    // node the optimized Tmk rebuild pays — then a local copy into the
-    // contiguous view the structure builder expects.
+    // Whole-state rebuild read (RebuildReads::kAll only): one aggregated
+    // Validate over every other owner's slice — request + reply per
+    // producer, the same 2(N-1) messages per node the optimized Tmk
+    // rebuild pays — then a local copy into the contiguous view the
+    // structure builder expects.
     auto read_state = [&, me](std::span<T> all) {
       std::vector<core::AccessDescriptor> reads;
       for (std::uint32_t q = 0; q < nprocs; ++q) {

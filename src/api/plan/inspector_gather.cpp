@@ -85,9 +85,14 @@ void InspectorGather<T>::allgather_state(std::span<T> all) {
 template <typename T>
 void InspectorGather<T>::fresh_rebuild(std::int64_t ordinal) {
   std::span<const T> view{};
-  if (spec_.rebuild_reads_state) {
+  if (spec_.rebuild_reads != RebuildReads::kNothing) {
     all_state_.resize(static_cast<std::size_t>(spec_.num_elements));
-    if (read_state_) {
+    if (spec_.rebuild_reads == RebuildReads::kOwnBlock) {
+      // The owned block is local (x_all_ and, on the hybrid, the DSM slice
+      // never differ), so nothing crosses the fabric.
+      std::copy(x_all_.begin(), x_all_.begin() + local_n_,
+                all_state_.begin() + spec_.owner_range[exch_.id()].begin);
+    } else if (read_state_) {
       read_state_(all_state_);
     } else {
       allgather_state(all_state_);

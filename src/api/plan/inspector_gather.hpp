@@ -16,10 +16,11 @@
 //
 // The drivers differ only in two hooks:
 //
-//  - ReadState, how a state-reading rebuild sees the global state.  Unset
-//    (CHAOS), the owned blocks are allgathered over the exchange.  The
-//    hybrid reads every owner's page-aligned DSM slice with one aggregated
-//    Validate instead.
+//  - ReadState, how a whole-state (RebuildReads::kAll) rebuild sees the
+//    global state.  Unset (CHAOS), the owned blocks are allgathered over
+//    the exchange.  The hybrid reads every owner's page-aligned DSM slice
+//    with one aggregated Validate instead.  An own-block rebuild uses
+//    neither: its block is already local.
 //  - Publish, what follows the owner update.  Unset (CHAOS), nothing.  The
 //    hybrid copies the owned block into its DSM slice under READ&WRITE_ALL,
 //    so x_all's owned block and the slice never differ.

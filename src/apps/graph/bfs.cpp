@@ -80,7 +80,8 @@ api::KernelSpec<double> make_kernel(const Params& p) {
   spec.warmup_steps = p.warmup_steps;
   spec.update_interval = 0;
   spec.rebuild_when = [](int) { return true; };  // the frontier IS the list
-  spec.rebuild_reads_state = true;               // ...and it reads distances
+  // ...and it reads the distances of its own vertices only.
+  spec.rebuild_reads = api::RebuildReads::kOwnBlock;
   // structure_cacheable stays false: the builder advances a captured level
   // counter across calls, so replaying cached frontiers would desync it.
   spec.reduce = api::Reduce::kMin;

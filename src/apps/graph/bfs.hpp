@@ -5,10 +5,10 @@
 // State x is the tentative distance array (unreached = num_vertices, the
 // min-reduction identity).  At step s the frontier is {v : x[v] == s};
 // each node's WorkItems are the frontier vertices it owns, one CSR row
-// [v, neighbours...] per vertex, rebuilt every step via
-// rebuild_reads_state from the current distances (rebuild_when, not a
-// fixed cadence).  The compute body pushes x[v] + 1 to every neighbour
-// under Reduce::kMin; owners keep the minimum.  Termination is the
+// [v, neighbours...] per vertex, rebuilt every step (rebuild_when, not a
+// fixed cadence) from the current distances of the node's own block
+// (RebuildReads::kOwnBlock).  The compute body pushes x[v] + 1 to every
+// neighbour under Reduce::kMin; owners keep the minimum.  Termination is the
 // DSM-published convergence flag: the loop ends at the first step whose
 // next frontier is empty on every node — which also makes the steps AFTER
 // a component is exhausted (isolated tail, fixed-step runs) the

@@ -73,7 +73,7 @@ api::KernelSpec<double> make_kernel(const Params& p) {
   spec.warmup_steps = p.warmup_steps;
   spec.update_interval = 0;
   spec.rebuild_when = [](int) { return true; };  // frontier changes per step
-  spec.rebuild_reads_state = true;
+  spec.rebuild_reads = api::RebuildReads::kOwnBlock;  // own labels only
   // structure_cacheable stays false: the builder compares against a label
   // stash it mutates per call, so its outputs are not replayable artifacts.
   spec.reduce = api::Reduce::kMin;

@@ -7,10 +7,11 @@
 // Reduce::kMin and owners keep the minimum, so each component converges to
 // its minimum vertex id.  The frontier needs the previous labels, which
 // each node stashes at the rebuild — the structure is rebuilt every step
-// from the current labels (rebuild_when + rebuild_reads_state), shrinking
-// as components settle.  Termination is data-dependent: the DSM-published
-// convergence flag ends the loop at the first step in which no label
-// changed anywhere, with num_steps only a safety cap.
+// from the current labels of the node's own block (rebuild_when +
+// RebuildReads::kOwnBlock), shrinking as components settle.  Termination
+// is data-dependent: the DSM-published convergence flag ends the loop at
+// the first step in which no label changed anywhere, with num_steps only
+// a safety cap.
 #pragma once
 
 #include <span>

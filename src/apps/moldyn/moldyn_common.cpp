@@ -55,45 +55,60 @@ System make_system(const Params& p) {
   return sys;
 }
 
-NodeId owner_of(const System& sys, std::int64_t molecule) {
-  for (std::size_t n = 0; n < sys.owner_range.size(); ++n) {
-    if (sys.owner_range[n].contains(molecule)) return static_cast<NodeId>(n);
+namespace {
+
+/// The molecules bucketed into the box's cutoff-sized cells by one
+/// counting sort: cell c holds ids[start[c] .. start[c + 1]), ascending.
+struct CellGrid {
+  std::int64_t cells = 1;           ///< cells per box edge
+  std::vector<std::int64_t> cell;   ///< each molecule's cell
+  std::vector<std::int32_t> start;  ///< cells^3 + 1 offsets into ids
+  std::vector<std::int32_t> ids;
+};
+
+CellGrid bucket_cells(const Params& p, std::span<const double3> pos) {
+  CellGrid g;
+  g.cells = static_cast<std::int64_t>(
+      std::max(1.0, std::floor(p.box / p.cutoff)));
+  const double inv_cell = static_cast<double>(g.cells) / p.box;
+  const auto clampc = [&](double v) {
+    const auto c = static_cast<std::int64_t>(v * inv_cell);
+    return std::clamp<std::int64_t>(c, 0, g.cells - 1);
+  };
+  g.cell.resize(pos.size());
+  g.start.assign(static_cast<std::size_t>(g.cells * g.cells * g.cells) + 1,
+                 0);
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    const double3& q = pos[i];
+    g.cell[i] = (clampc(q.x) * g.cells + clampc(q.y)) * g.cells + clampc(q.z);
+    ++g.start[static_cast<std::size_t>(g.cell[i]) + 1];
   }
-  SDSM_UNREACHABLE("molecule out of range");
+  for (std::size_t c = 1; c < g.start.size(); ++c) {
+    g.start[c] += g.start[c - 1];
+  }
+  std::vector<std::int32_t> next(g.start.begin(), g.start.end() - 1);
+  g.ids.resize(pos.size());
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    g.ids[static_cast<std::size_t>(
+        next[static_cast<std::size_t>(g.cell[i])]++)] =
+        static_cast<std::int32_t>(i);
+  }
+  return g;
 }
 
-std::vector<std::vector<Pair>> build_pairs(const Params& p, const System& sys,
-                                           std::span<const double3> pos) {
-  SDSM_REQUIRE(pos.size() == sys.pos0.size());
+/// The pairs (a, b) with a in `mine`, b > a and |pos[a]-pos[b]| < cutoff,
+/// ascending in a, then by neighbour cell, then ascending in b.
+std::vector<Pair> scan_pairs(const Params& p, const CellGrid& g,
+                             std::span<const double3> pos, part::Range mine) {
   const double cut2 = p.cutoff * p.cutoff;
-  const auto cells = static_cast<std::int64_t>(
-      std::max(1.0, std::floor(p.box / p.cutoff)));
-  const double inv_cell = static_cast<double>(cells) / p.box;
-
-  auto cell_of = [&](const double3& q) {
-    auto clampc = [&](double v) {
-      auto c = static_cast<std::int64_t>(v * inv_cell);
-      return std::clamp<std::int64_t>(c, 0, cells - 1);
-    };
-    return (clampc(q.x) * cells + clampc(q.y)) * cells + clampc(q.z);
-  };
-
-  // Bucket molecules into cells.
-  std::vector<std::vector<std::int32_t>> bucket(
-      static_cast<std::size_t>(cells * cells * cells));
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    bucket[static_cast<std::size_t>(cell_of(pos[i]))].push_back(
-        static_cast<std::int32_t>(i));
-  }
-
-  std::vector<std::vector<Pair>> out(sys.owner_range.size());
-  for (std::int64_t i = 0; i < static_cast<std::int64_t>(pos.size()); ++i) {
+  const std::int64_t cells = g.cells;
+  std::vector<Pair> out;
+  for (std::int64_t i = mine.begin; i < mine.end; ++i) {
     const double3& qi = pos[static_cast<std::size_t>(i)];
-    auto ci = cell_of(qi);
+    const std::int64_t ci = g.cell[static_cast<std::size_t>(i)];
     const std::int64_t cx = ci / (cells * cells);
     const std::int64_t cy = (ci / cells) % cells;
     const std::int64_t cz = ci % cells;
-    const NodeId me = owner_of(sys, i);
     for (std::int64_t dx = -1; dx <= 1; ++dx) {
       for (std::int64_t dy = -1; dy <= 1; ++dy) {
         for (std::int64_t dz = -1; dz <= 1; ++dz) {
@@ -102,17 +117,40 @@ std::vector<std::vector<Pair>> build_pairs(const Params& p, const System& sys,
               nz >= cells) {
             continue;
           }
-          for (const std::int32_t j :
-               bucket[static_cast<std::size_t>((nx * cells + ny) * cells + nz)]) {
+          const auto c =
+              static_cast<std::size_t>((nx * cells + ny) * cells + nz);
+          for (std::int32_t k = g.start[c]; k < g.start[c + 1]; ++k) {
+            const std::int32_t j = g.ids[static_cast<std::size_t>(k)];
             if (j <= i) continue;
             const double3 d = qi - pos[static_cast<std::size_t>(j)];
             if (d.norm2() < cut2) {
-              out[me].push_back(Pair{static_cast<std::int32_t>(i), j});
+              out.push_back(Pair{static_cast<std::int32_t>(i), j});
             }
           }
         }
       }
     }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<Pair> build_pairs_of(const Params& p, const System& sys,
+                                 std::span<const double3> pos, NodeId node) {
+  SDSM_REQUIRE(pos.size() == sys.pos0.size());
+  SDSM_REQUIRE(node < sys.owner_range.size());
+  return scan_pairs(p, bucket_cells(p, pos), pos, sys.owner_range[node]);
+}
+
+std::vector<std::vector<Pair>> build_pairs(const Params& p, const System& sys,
+                                           std::span<const double3> pos) {
+  SDSM_REQUIRE(pos.size() == sys.pos0.size());
+  const CellGrid grid = bucket_cells(p, pos);
+  std::vector<std::vector<Pair>> out;
+  out.reserve(sys.owner_range.size());
+  for (const part::Range& mine : sys.owner_range) {
+    out.push_back(scan_pairs(p, grid, pos, mine));
   }
   return out;
 }

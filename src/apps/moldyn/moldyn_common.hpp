@@ -3,8 +3,9 @@
 //
 // Molecules live in a periodic box.  Every UPDATE_INTERVAL steps the
 // interaction list — all pairs within the cutoff radius — is rebuilt from
-// current positions; between rebuilds the list is the indirection array of
-// the force loop.  As in the paper, molecules are partitioned with RCB; we
+// current positions, each node building the pairs of the molecules it
+// owns; between rebuilds the list is the indirection array of the force
+// loop.  As in the paper, molecules are partitioned with RCB; we
 // additionally renumber molecules so each processor's molecules are
 // contiguous (the spatial locality the paper attributes to RCB, made
 // explicit in index space).
@@ -60,12 +61,16 @@ struct System {
 /// renumber by owner.
 System make_system(const Params& p);
 
-NodeId owner_of(const System& sys, std::int64_t molecule);
+/// Builds node `node`'s interacting pairs via cell lists: (a, b) with a
+/// owned by `node`, a < b and |pos[a]-pos[b]| < cutoff, in deterministic
+/// order (ascending a).  Buckets every molecule, since b may be anyone's,
+/// but scans only the node's own molecules, as each processor rebuilds
+/// its own part of the interaction list in the paper.
+std::vector<Pair> build_pairs_of(const Params& p, const System& sys,
+                                 std::span<const double3> pos, NodeId node);
 
-/// Builds all interacting pairs via cell lists: (a, b) with a < b and
-/// |pos[a]-pos[b]| < cutoff, assigned to the owner of `a`.  Output is
-/// grouped by owner (result[p] = pairs computed by node p), each group in
-/// deterministic ascending order.
+/// Every node's pairs, grouped by owner: result[q] == build_pairs_of(...,
+/// q).  The sequential reference and the capacity bound use it.
 std::vector<std::vector<Pair>> build_pairs(const Params& p, const System& sys,
                                            std::span<const double3> pos);
 

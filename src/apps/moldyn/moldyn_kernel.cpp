@@ -13,7 +13,9 @@ api::KernelSpec<double3> make_kernel(const Params& p, const System& sys) {
   spec.num_steps = p.num_steps;
   spec.warmup_steps = 0;  // the paper times the rebuilds too (Table 1)
   spec.update_interval = p.update_interval;
-  spec.rebuild_reads_state = true;  // pairs come from current positions
+  // A pair's partner may be any node's molecule, so the builder reads
+  // every position.
+  spec.rebuild_reads = api::RebuildReads::kAll;
   // Pair lists are a pure function of the positions at rebuild time, so a
   // repeat run over the same initial system replays the same structures.
   spec.structure_cacheable = true;
@@ -32,8 +34,7 @@ api::KernelSpec<double3> make_kernel(const Params& p, const System& sys) {
 
   spec.build_items = [p, sys](api::IrregularNode& node,
                               std::span<const double3> all_x) {
-    auto groups = build_pairs(p, sys, all_x);
-    const auto& mine = groups[node.id()];
+    const std::vector<Pair> mine = build_pairs_of(p, sys, all_x, node.id());
     api::WorkItems items;
     items.refs.reserve(2 * mine.size());
     for (const Pair& pr : mine) {

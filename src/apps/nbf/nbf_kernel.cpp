@@ -17,7 +17,7 @@ api::KernelSpec<double> make_base(const Params& p) {
   spec.num_steps = p.timed_steps;
   spec.warmup_steps = p.warmup_steps;
   spec.update_interval = 0;  // static partner list
-  spec.rebuild_reads_state = false;
+  spec.rebuild_reads = api::RebuildReads::kNothing;
   spec.structure_cacheable = true;  // static partner lists, pure builder
 
   std::int64_t max_block = 0;

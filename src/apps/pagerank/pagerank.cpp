@@ -122,7 +122,7 @@ api::KernelSpec<double> make_kernel(const Params& p) {
   spec.num_steps = p.num_steps;
   spec.warmup_steps = p.warmup_steps;
   spec.update_interval = 0;  // static graph
-  spec.rebuild_reads_state = false;
+  spec.rebuild_reads = api::RebuildReads::kNothing;
   spec.structure_cacheable = true;  // static edge lists, pure builder
 
   // Capacity: true per-node row/ref counts — hubs make the reference sums

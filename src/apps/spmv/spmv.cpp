@@ -138,7 +138,7 @@ api::KernelSpec<double> make_kernel(const Params& p) {
   spec.num_steps = p.num_steps;
   spec.warmup_steps = p.warmup_steps;
   spec.update_interval = 0;
-  spec.rebuild_reads_state = false;
+  spec.rebuild_reads = api::RebuildReads::kNothing;
   spec.structure_cacheable = true;  // static matrix structure, pure builder
 
   const auto owner_range = spec.owner_range;

@@ -74,7 +74,8 @@ class Reader {
     requires std::is_trivially_copyable_v<T>
   std::vector<T> get_vector() {
     const auto n = get<std::uint64_t>();
-    SDSM_REQUIRE(pos_ + n * sizeof(T) <= bytes_.size());
+    // Divide, not multiply: a wire length near 2^64 / sizeof(T) would wrap.
+    SDSM_REQUIRE(n <= remaining() / sizeof(T));
     std::vector<T> values(n);
     if (n > 0) {  // data() may be null on empty vectors/spans (UB in memcpy)
       std::memcpy(values.data(), bytes_.data() + pos_, n * sizeof(T));
@@ -90,7 +91,7 @@ class Reader {
 
   /// Copies n raw bytes into dst (no length prefix).
   void get_raw(void* dst, std::size_t n) {
-    SDSM_REQUIRE(pos_ + n <= bytes_.size());
+    SDSM_REQUIRE(n <= remaining());
     if (n > 0) std::memcpy(dst, bytes_.data() + pos_, n);
     pos_ += n;
   }

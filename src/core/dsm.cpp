@@ -343,7 +343,7 @@ void DsmNode::complete_fetch(PendingFetch pf) {
             items.back().ivals.push_back(c.ival);
             continue;
           }
-          c.diffs.reserve(ndiffs);
+          // No reserve(ndiffs): the count is off the wire.
           for (std::uint32_t d = 0; d < ndiffs; ++d) {
             c.diffs.push_back(Diff::from_bytes(r.get_vector<std::uint8_t>()));
           }

@@ -30,8 +30,9 @@ IntervalMeta IntervalMeta::deserialize(Reader& r) {
   m.id.node = r.get<std::uint32_t>();
   m.id.seq = r.get<std::uint32_t>();
   m.vc = VectorClock::deserialize(r);
+  // No reserve: every count below is read off the wire, so each element
+  // must be decoded (and bounds-checked) before it is stored.
   const auto n = r.get<std::uint32_t>();
-  m.notices.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     WriteNotice wn;
     wn.page = r.get<std::uint32_t>();
@@ -39,6 +40,7 @@ IntervalMeta IntervalMeta::deserialize(Reader& r) {
     wn.whole_page = (flags & 1) != 0;
     if (flags & 2) {
       const auto size = r.get<std::uint32_t>();
+      SDSM_REQUIRE(size <= r.remaining());
       wn.inline_diff.resize(size);
       r.get_raw(wn.inline_diff.data(), size);
       wn.diff_bytes = size;
@@ -57,8 +59,7 @@ void serialize_metas(Writer& w, const std::vector<IntervalMeta>& metas) {
 
 std::vector<IntervalMeta> deserialize_metas(Reader& r) {
   const auto n = r.get<std::uint32_t>();
-  std::vector<IntervalMeta> out;
-  out.reserve(n);
+  std::vector<IntervalMeta> out;  // no reserve(n): n is off the wire
   for (std::uint32_t i = 0; i < n; ++i) {
     out.push_back(IntervalMeta::deserialize(r));
   }

@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "src/api/api.hpp"
+#include "src/api/reuse.hpp"
 #include "src/api/tmk_backend.hpp"
 #include "src/apps/moldyn/moldyn_kernel.hpp"
 #include "src/apps/pagerank/pagerank.hpp"
@@ -453,8 +454,9 @@ TEST(CrossStepPrefetch, IgnoredOnBaseBackend) {
 }
 
 // A small deterministic diffusion kernel for exercising the
-// data-dependent-iteration contract: fixed scattered rows, state read at
-// every rebuild, and hooks for rebuild_when / converged.  State keeps
+// data-dependent-iteration contract: fixed scattered rows, a declared
+// state read at every rebuild (the builder itself reads none), and hooks
+// for rebuild_when / converged.  State keeps
 // changing every step (unlike BFS/CC, which converge "quietly"), so a
 // prefetch posted at the final step's barrier exit has real pages in
 // flight when an early exit abandons it.
@@ -466,6 +468,7 @@ struct IterationCase {
   int update_interval = 0;
   std::function<bool(int)> rebuild_when;
   int converge_after = 0;  ///< >0: converged flag fires at this step count
+  RebuildReads reads = RebuildReads::kAll;  ///< the declared state read
 };
 
 KernelSpec<double> make_iteration_spec(const IterationCase& c) {
@@ -482,7 +485,7 @@ KernelSpec<double> make_iteration_spec(const IterationCase& c) {
   spec.warmup_steps = c.warmup_steps;
   spec.update_interval = c.update_interval;
   spec.rebuild_when = c.rebuild_when;
-  spec.rebuild_reads_state = true;
+  spec.rebuild_reads = c.reads;
   spec.max_items_per_node = c.n;
   spec.max_refs_per_node = 3 * c.n;
 
@@ -575,6 +578,100 @@ TEST(RebuildSchedule, StepZeroBuildsExactlyOnce) {
     }
     EXPECT_EQ(checksums[0], checksums[1]) << "case " << i;
     EXPECT_EQ(checksums[1], checksums[2]) << "case " << i;
+  }
+}
+
+// The declared read set moves only the rebuild's state traffic.  The
+// iteration-case builder reads no state, so every declaration leaves the
+// numerics bit-identical on every backend; what differs is what each
+// backend fetches for it.  No Tmk optimized inequality is pinned: with an
+// own-block read the compute Validate fetches the remote pages the
+// rebuild read no longer brought in, which can add a request per producer.
+TEST(RebuildReads, DeclarationMovesOnlyTheStateRead) {
+  const RebuildReads kinds[] = {RebuildReads::kNothing,
+                                RebuildReads::kOwnBlock, RebuildReads::kAll};
+  const Backend backends[] = {Backend::kChaos, Backend::kTmkBase,
+                              Backend::kTmkOptimized, Backend::kHybrid};
+  std::uint64_t messages[4][3] = {};
+  double checksum = 0;
+  for (std::size_t b = 0; b < 4; ++b) {
+    for (std::size_t k = 0; k < 3; ++k) {
+      IterationCase c;
+      c.rebuild_when = [](int) { return true; };
+      c.reads = kinds[k];
+      BackendOptions opts;
+      opts.region_bytes = 16u << 20;
+      opts.table = chaos::TableKind::kReplicated;
+      const auto r = run_kernel(backends[b], make_iteration_spec(c), opts);
+      if (b == 0 && k == 0) checksum = r.checksum;
+      EXPECT_EQ(r.checksum, checksum)  // bitwise, not approximate
+          << backend_name(backends[b]) << " reads " << k;
+      messages[b][k] = r.messages;
+    }
+  }
+  // CHAOS and the hybrid: the owned block is local, so only the
+  // whole-state read crosses the fabric (an allgather, a slice Validate).
+  for (const std::size_t b : {std::size_t{0}, std::size_t{3}}) {
+    EXPECT_EQ(messages[b][1], messages[b][0]) << backend_name(backends[b]);
+    EXPECT_LT(messages[b][1], messages[b][2]) << backend_name(backends[b]);
+  }
+  // Tmk base declares nothing: its demand faults fetch only what the
+  // builder reads, and this builder reads nothing.
+  EXPECT_EQ(messages[1][1], messages[1][0]);
+  EXPECT_EQ(messages[1][2], messages[1][0]);
+}
+
+// A schedule-cache replay on Tmk base skips the builder's scan, so the
+// backend walks the pages of the declared range instead.  A replayed
+// own-block rebuild must fault in exactly the pages the fresh build did:
+// walking all of x would fetch every peer's pages for nothing.
+TEST(RebuildReads, CacheReplayFaultsOnlyTheDeclaredRange) {
+  IterationCase c;
+  c.rebuild_when = [](int) { return true; };
+  c.reads = RebuildReads::kOwnBlock;
+  KernelSpec<double> spec = make_iteration_spec(c);
+  spec.structure_cacheable = true;
+  // Scan the own block, as bfs and cc do, so the fresh build faults in
+  // the boundary page a neighbour's update invalidated, and keep every
+  // row inside the block, so nothing else reads the peers' pages.
+  spec.build_items = [ranges = spec.owner_range](
+                         IrregularNode& node, std::span<const double> all_x) {
+    const part::Range mine = ranges[node.id()];
+    volatile double sink = 0;
+    WorkItems items;
+    for (std::int64_t v = mine.begin; v < mine.end; ++v) {
+      sink = sink + all_x[static_cast<std::size_t>(v)];
+      items.push_row({v, std::min(v + 1, mine.end - 1)});
+    }
+    return items;
+  };
+  for (const Backend b : {Backend::kTmkBase, Backend::kTmkOptimized}) {
+    BackendOptions opts;
+    opts.region_bytes = 16u << 20;
+    core::DsmRuntime rt(TmkBackend::dsm_config(c.nprocs, opts));
+    TmkBackend backend(c.nprocs, b, opts);
+    std::vector<std::vector<CachedRebuild>> trace(c.nprocs);
+    RunSession record;
+    record.store = [&trace](NodeId node, std::int64_t,
+                            CachedRebuild&& artifact) {
+      trace[node].push_back(std::move(artifact));
+    };
+    const KernelResult miss = backend.run_on(rt, spec, &record);
+    rt.reset_arena();
+    RunSession replay;
+    replay.lookup = [&trace](NodeId node,
+                             std::int64_t ord) -> const CachedRebuild* {
+      return &trace[node].at(static_cast<std::size_t>(ord));
+    };
+    const KernelResult hit = backend.run_on(rt, spec, &replay);
+    EXPECT_EQ(replay.cached_builds.load(), record.fresh_builds.load())
+        << backend_name(b);
+    EXPECT_EQ(replay.fresh_builds.load(), 0u) << backend_name(b);
+    EXPECT_EQ(hit.checksum, miss.checksum) << backend_name(b);
+    EXPECT_EQ(hit.messages, miss.messages) << backend_name(b);
+    EXPECT_EQ(hit.bytes, miss.bytes) << backend_name(b);
+    EXPECT_GT(miss.tmk.read_faults + miss.tmk.pages_prefetched, 0u)
+        << backend_name(b);
   }
 }
 

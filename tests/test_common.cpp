@@ -14,6 +14,7 @@
 #include "src/common/rng.hpp"
 #include "src/common/stats.hpp"
 #include "src/common/timer.hpp"
+#include "src/core/interval.hpp"
 
 namespace sdsm {
 namespace {
@@ -156,6 +157,55 @@ TEST(Buffer, MixedSequenceRoundTripProperty) {
     }
     EXPECT_TRUE(r.done());
   }
+}
+
+// Lengths and counts read off the wire are checked against the bytes left
+// before anything of that size is allocated, so a hostile or truncated
+// frame fails the precondition instead of reaching std::vector with the
+// announced size (std::length_error or std::bad_alloc).
+TEST(BufferDeathTest, VectorLengthThatWrapsIsRejected) {
+  Writer w;
+  w.put<std::uint64_t>(std::uint64_t{1} << 61);  // x 8 bytes wraps to 0
+  w.put<std::uint64_t>(0);
+  const auto bytes = w.take();
+  ASSERT_EQ(bytes.size(), 16u);
+  EXPECT_DEATH(
+      {
+        Reader r(bytes);
+        (void)r.get_vector<double>();
+      },
+      "precondition failed");
+}
+
+TEST(BufferDeathTest, MetasCountBeyondThePayloadIsRejected) {
+  Writer w;
+  w.put<std::uint32_t>(0xFFFFFFFFu);
+  const auto bytes = w.take();
+  EXPECT_DEATH(
+      {
+        Reader r(bytes);
+        (void)core::deserialize_metas(r);
+      },
+      "precondition failed");
+}
+
+TEST(BufferDeathTest, NoticeCountBeyondThePayloadIsRejected) {
+  core::IntervalMeta m;
+  m.id = core::IntervalId{1, 2};
+  m.vc = core::VectorClock(4);
+  Writer w;
+  m.serialize(w);
+  auto bytes = w.take();
+  // No notices: the encoding ends in the uint32 notice count.
+  const std::uint32_t count = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + bytes.size() - sizeof(count), &count,
+              sizeof(count));
+  EXPECT_DEATH(
+      {
+        Reader r(bytes);
+        (void)core::IntervalMeta::deserialize(r);
+      },
+      "precondition failed");
 }
 
 TEST(Counter, ConcurrentAdds) {

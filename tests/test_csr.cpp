@@ -192,7 +192,7 @@ KernelSpec<double> make_spec(const Case& c) {
   spec.num_steps = c.num_steps;
   spec.warmup_steps = c.warmup_steps;
   spec.update_interval = c.update_interval;
-  spec.rebuild_reads_state = false;
+  spec.rebuild_reads = RebuildReads::kNothing;
 
   // Capacity: worst case over nodes and rebuild indices actually reached.
   const int total_steps = c.warmup_steps + c.num_steps;

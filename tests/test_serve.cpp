@@ -113,8 +113,8 @@ TEST_P(CacheHitParity, SpmvBitExactAndTrafficIdentical) {
   EXPECT_EQ(one.megabytes, miss.megabytes);
 }
 
-// moldyn: rebuild_reads_state + rebuilds inside the timed loop — the hard
-// case.  On the Tmk backends the hit path's traffic must still be
+// moldyn: a whole-state rebuild read + rebuilds inside the timed loop —
+// the hard case.  On the Tmk backends the hit path's traffic must still be
 // identical (the replayed Validates and the volatile structure walk pay
 // the same pages); on CHAOS the hit path saves exactly the structure
 // traffic the miss path attributed.
