@@ -489,9 +489,9 @@ int main(int argc, char** argv) {
                         [&](api::Backend b, const api::BackendOptions& o) {
                           return moldyn::run(b, p, sys, o);
                         });
-    // The adaptive-coherence A/B: identical workload, heat-driven
-    // replicate/migrate/ghost on.  Checksums must match the static rows
-    // bit-exactly; the win shows up in the message column.
+    // The adaptive-coherence A/B: identical workload, census-driven
+    // replicate/ghost on.  Checksums must match the static rows
+    // bit-exactly, and messages must not exceed theirs.
     api::BackendOptions aopts = opts;
     aopts.coherence = coherence::CoherencePolicy::kAdaptive;
     add_rows(table, opt.backends, "coherence moldyn 4096x24 adaptive",

@@ -104,7 +104,8 @@ struct BackendOptions {
   bool cross_step_prefetch = false;
   /// Adaptive coherence engine (src/coherence/): kStatic (default) keeps
   /// the protocol byte-identical to the committed baseline; kAdaptive lets
-  /// the per-page heat census replicate, migrate, or ghost hot regions.
+  /// the per-page write census replicate sole-writer pages and promote
+  /// stable indirection to ghost zones.
   /// Tmk backends only — CHAOS has no page protocol to adapt.
   coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
 

@@ -807,7 +807,8 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
     // Owner publish: READ&WRITE_ALL — the owner's pages are always valid
     // locally, so no fetch; every byte is rewritten, so the step barrier
     // ships whole pages, creates no twins, and piggybacks the write
-    // notices on the messages it already sends.
+    // notices on the messages it already sends.  Only read_state reads the
+    // slices, so kernels whose rebuild reads less never publish.
     auto publish = [&, me](std::span<const T> owned) {
       if (owned.empty()) return;
       self.validate({slice(me, kSchedUpdateWrite).read_write_all()});
@@ -816,7 +817,10 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
     fabric[me] = std::make_unique<Fabric>(self);
     nodes[me] = std::make_unique<InspectorGather<T>>(
         spec, *table, session, fabric[me]->exch, fabric[me]->node,
-        rt.network().stats(), read_state, publish);
+        rt.network().stats(), read_state,
+        spec.rebuild_reads == RebuildReads::kAll
+            ? typename InspectorGather<T>::Publish(publish)
+            : nullptr);
 
     // Seed: each owner writes its own slice (single writer from the first
     // byte); the strategy mirrors the same initial values privately.

@@ -1,8 +1,18 @@
-#include "src/coherence/heat.hpp"
+#include "src/coherence/census.hpp"
 
 #include <algorithm>
 
 namespace sdsm::coherence {
+
+namespace {
+
+/// A score `elapsed` epochs after it was last materialized (halving per
+/// epoch).
+constexpr std::uint64_t decayed64(std::uint64_t score, std::uint32_t elapsed) {
+  return elapsed >= 64 ? 0 : score >> elapsed;
+}
+
+}  // namespace
 
 void WriteCensus::fold(PageId page, NodeId writer, std::uint32_t bytes,
                        std::uint32_t epoch) {

@@ -60,9 +60,10 @@ class Counter {
   X(gc_runs, count, exact)           /* diff-store collections completed */   \
   X(gc_pages_flushed, count, exact)  /* pages force-fetched by GC flushes */  \
   /* Adaptive coherence (src/coherence/): all zero under the static */        \
-  /* policy.  Migrations are counted on every node. */                        \
-  X(replications, count, exact)      /* inline whole-update pushes */         \
-  X(migrations, count, exact)        /* directory ownership transfers */      \
+  /* policy.  migrations is always 0 (the migrate class was deleted); */      \
+  /* it stays because bench/suite/bench_suite.cpp reports it. */              \
+  X(replications, count, exact)      /* notices with an inline diff */        \
+  X(migrations, count, exact)        /* always 0, see above */                \
   X(ghost_promotions, count, exact)  /* schedules promoted to ghost zones */  \
   X(scan_ns, ns, lower)              /* inside Read_indices */                \
   X(t_barrier_ns, ns, lower)         /* barrier(): close + trip + apply */    \

@@ -50,7 +50,7 @@ DsmNode::DsmNode(DsmRuntime& rt, NodeId id)
       last_seen_vc_(rt.config().num_nodes,
                     VectorClock(rt.config().num_nodes)) {
   if (rt.config().coherence == coherence::CoherencePolicy::kAdaptive) {
-    policy_ = std::make_unique<coherence::PolicyEngine>(id);
+    policy_ = std::make_unique<coherence::PolicyEngine>();
   }
   vm::FaultDispatcher::instance().register_region(
       region_.base(), region_.size(),
@@ -88,10 +88,6 @@ void DsmNode::handle_fault(void* addr, vm::FaultAccess access) {
   // actual write simply faults once more and lands in the write path).
   if (pm.state == PageState::kInvalid && prefetch_.covers(page)) {
     stats().read_faults.add(1);
-    if (policy_) {
-      coherence::HeatTracker::bump_read(pm.read_heat, pm.write_heat,
-                                        pm.heat_epoch, policy_->epoch());
-    }
     consume_prefetch();
     if (access != vm::FaultAccess::kWrite) return;
   }
@@ -106,10 +102,6 @@ void DsmNode::handle_fault(void* addr, vm::FaultAccess access) {
 
   if (pm.state == PageState::kInvalid) {
     stats().read_faults.add(1);
-    if (policy_) {
-      coherence::HeatTracker::bump_read(pm.read_heat, pm.write_heat,
-                                        pm.heat_epoch, policy_->epoch());
-    }
     fetch_one_page(page);
     if (!is_write) return;
   }
@@ -137,10 +129,6 @@ void DsmNode::handle_fault(void* addr, vm::FaultAccess access) {
   }
 
   stats().write_faults.add(1);
-  if (policy_) {
-    coherence::HeatTracker::bump_write(pm.read_heat, pm.write_heat,
-                                       pm.heat_epoch, policy_->epoch());
-  }
   pre_twin(page, /*whole_page_mode=*/false);
   set_prot(page, vm::Prot::kReadWrite);
 }
@@ -400,10 +388,6 @@ void DsmNode::complete_fetch(PendingFetch pf) {
     }
     pm.pending.clear();
     if (pm.state == PageState::kInvalid) --invalid_pages_;
-    if (policy_) {
-      coherence::HeatTracker::bump_read(pm.read_heat, pm.write_heat,
-                                        pm.heat_epoch, policy_->epoch());
-    }
     if (pm.dirty) {
       pm.state = PageState::kReadWrite;  // restore write access
       to_rw.push_back(page);
@@ -539,15 +523,12 @@ std::optional<IntervalMeta> DsmNode::close_interval() {
     wn.whole_page = e.whole;
     if (policy_) {
       // Adaptive coherence: publish the diff size for the write census,
-      // and for classified pages push the encoded diff inside the notice
+      // and for replicated pages push the encoded diff inside the notice
       // itself so readers skip the fetch round trip entirely.
       wn.diff_bytes = static_cast<std::uint32_t>(e.diff.encoded_size());
       if (policy_->should_inline(e.page)) {
         wn.inline_diff = e.diff.bytes();
-        if (policy_->page_class(e.page) ==
-            coherence::PageClass::kReplicated) {
-          stats().replications.add(1);
-        }
+        stats().replications.add(1);
       }
       policy_->fold_write(e.page, id_, wn.diff_bytes);
     }
@@ -983,8 +964,8 @@ void DsmNode::reset_for_reuse() {
   applied_vc_ = VectorClock(rt_.config().num_nodes);
   dirty_pages_.clear();
   schedules_.clear();
-  // Warm engines must not carry heat, census, or directory state from one
-  // job into the next (PageMeta heat went with the table above).
+  // Warm engines must not carry census or directory state from one job
+  // into the next.
   if (policy_) policy_->reset();
   invalid_pages_ = 0;
   {

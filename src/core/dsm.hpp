@@ -84,8 +84,8 @@ struct DsmConfig {
   /// whole-page shipping).  Disabled by the ablation bench to measure the
   /// "multiple overlapping diffs" effect the paper describes for reductions.
   bool write_all_enabled = true;
-  /// Adaptive coherence (src/coherence/): heat-driven replicate / migrate /
-  /// ghost decisions evaluated at barrier rendezvous.  kStatic leaves the
+  /// Adaptive coherence (src/coherence/): census-driven replicate / ghost
+  /// decisions evaluated at barrier rendezvous.  kStatic leaves the
   /// protocol — and its wire traffic — byte-identical to the baseline.
   /// Adaptive runs are barrier-only: lock_acquire rejects the combination.
   coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
@@ -182,12 +182,6 @@ struct PageMeta {
   std::vector<PendingNotice> pending;
   /// Schedules watching this page for indirection-array changes.
   std::vector<std::uint32_t> watchers;
-  /// Adaptive-coherence heat, folded into the page's own metadata so the
-  /// fault path touches no other structure (coherence::HeatTracker holds
-  /// the decay arithmetic).  Untouched under the static policy.
-  std::uint16_t read_heat = 0;
-  std::uint16_t write_heat = 0;
-  std::uint32_t heat_epoch = 0;
 };
 
 /// Dense per-creator interval log that supports discarding a prefix at GC:
@@ -463,10 +457,6 @@ class DsmNode {
   };
 
   void barrier_round(bool allow_gc);
-  /// Adaptive coherence, once per barrier(): advance the policy epoch,
-  /// reclassify pages, count migrations, and issue the ownership-transfer
-  /// fetch for pages this node just took over.
-  void coherence_tick();
   /// Adaptive coherence: applies inline diffs deposited by process_metas
   /// for the given pages, validating them at barrier release with no
   /// fetch.  Pages whose pending stack is not fully inline are left for

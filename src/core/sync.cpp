@@ -159,27 +159,13 @@ void DsmNode::barrier() {
   const Timer phase;
   stats().barriers.add(1);
   barrier_round(/*allow_gc=*/true);
-  if (policy_) coherence_tick();
-  stats().t_barrier_ns.add(static_cast<std::uint64_t>(phase.elapsed_s() * 1e9));
-}
-
-void DsmNode::coherence_tick() {
   // One policy epoch per barrier(), ticked after release processing so
   // every node has folded exactly the same set of intervals (a GC's inner
   // round folds before the tick too).  Identical census + the same
   // constant thresholds => identical classification on every node, with
   // no directory traffic.
-  const coherence::PolicyEngine::TickResult tr = policy_->tick();
-  if (tr.migrations > 0) stats().migrations.add(tr.migrations);
-
-  // Ownership transfers: the new home brings itself current immediately —
-  // the counted ownership-transfer message — so it can serve readers and
-  // push inline updates from a valid copy.
-  std::vector<PageId> need;
-  for (const PageId page : tr.newly_owned) {
-    if (pages_[page].state == PageState::kInvalid) need.push_back(page);
-  }
-  if (!need.empty()) fetch_pages(need);
+  if (policy_) policy_->tick();
+  stats().t_barrier_ns.add(static_cast<std::uint64_t>(phase.elapsed_s() * 1e9));
 }
 
 void DsmNode::barrier_round(bool allow_gc) {

@@ -12,8 +12,8 @@
 //                                      process, or spawned worker
 //                                      processes (sdsm::proc; Tmk only)
 //   --coherence=static|adaptive        page-coherence policy (default
-//                                      static; adaptive enables the heat-
-//                                      driven replicate/migrate/ghost
+//                                      static; adaptive enables the
+//                                      census-driven replicate/ghost
 //                                      engine on the Tmk backends)
 //
 // Unrecognized arguments are kept verbatim and queryable through flag() /

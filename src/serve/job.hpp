@@ -43,7 +43,7 @@ struct JobRequest {
   api::RoundSchedule schedule = api::RoundSchedule::kSerial;
   bool cross_step_prefetch = false;
   /// Page-coherence policy of the job's engine.  Part of the engine key —
-  /// a warm adaptive arena carries census/directory/heat state that a
+  /// a warm adaptive arena carries census and directory state that a
   /// static job must never see, and vice versa.
   coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
   /// Inter-node fabric the job's engine uses (engines are keyed by
@@ -79,7 +79,7 @@ struct JobStats {
   /// Adaptive-coherence decisions during the job's timed window (snapshot
   /// deltas; zero for static jobs).
   std::uint64_t replications = 0;
-  std::uint64_t migrations = 0;
+  std::uint64_t migrations = 0;  ///< always 0; kept on the wire (stats.hpp)
   std::uint64_t ghost_promotions = 0;
 
   double queue_seconds = 0;  ///< admission -> worker pickup

@@ -3,7 +3,7 @@
 // A server owns its execution substrates for its whole lifetime — one warm
 // engine per (backend, transport, coherence) tuple, created lazily: a
 // TreadMarks engine keeps a DsmRuntime whose arena is reset (not rebuilt)
-// between jobs — the reset also clears adaptive-coherence heat and
+// between jobs — the reset also clears adaptive-coherence census and
 // directory state, so a warm engine starts every job cold — and a CHAOS
 // engine keeps a warm ChaosRuntime.  Jobs arrive as JobRequests
 // through a bounded admission queue (reject-with-reason backpressure), are

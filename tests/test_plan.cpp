@@ -259,6 +259,30 @@ TEST_P(HybridMatrix, PagerankBitExactAgainstChaos) {
   EXPECT_EQ(hybrid.steps_run, chaos.steps_run);
 }
 
+// The hybrid's owner publish feeds only the whole-state rebuild read, so
+// only a kernel whose rebuild reads all of x (moldyn) writes its DSM slice
+// in the timed steps; pagerank never changes a protection there.
+TEST(HybridPublish, OnlyWholeStateRebuildsPublish) {
+  apps::pagerank::Params pr;
+  pr.num_vertices = 2048;
+  pr.num_steps = 6;
+  pr.edges_per_vertex = 4;
+  pr.nprocs = kNodes;
+  const api::KernelResult pagerank = apps::pagerank::run(
+      Backend::kHybrid, pr, apps::pagerank::default_options());
+  EXPECT_EQ(pagerank.tmk.mprotect_calls, 0u);
+
+  apps::moldyn::Params md;
+  md.num_molecules = 512;
+  md.num_steps = 8;
+  md.update_interval = 4;
+  md.nprocs = kNodes;
+  const api::KernelResult moldyn =
+      apps::moldyn::run(Backend::kHybrid, md, apps::moldyn::make_system(md),
+                        apps::moldyn::default_options());
+  EXPECT_GT(moldyn.tmk.mprotect_calls, 0u);
+}
+
 // Both drivers run one InspectorGather strategy; these cases pin the parts
 // the hybrid reaches only through its hooks or rarely exercises: the
 // convergence allgather and a rebuild at every step.
