@@ -12,12 +12,15 @@ Csr build_graph(const Params& p) {
   SDSM_REQUIRE(p.source >= 0 && p.source < p.num_vertices - p.isolated);
   const std::int64_t core = p.num_vertices - p.isolated;
 
-  // Collect undirected edges (a < b), then dedup: ring(s) + random chords.
-  std::vector<std::pair<std::int64_t, std::int64_t>> edges;
+  // Undirected edges, ring(s) + random chords, duplicates included.  Each
+  // vertex adds at most one ring edge and chords_per_vertex chords.
+  std::vector<std::pair<std::int32_t, std::int32_t>> edges;
+  edges.reserve(static_cast<std::size_t>(p.num_vertices) *
+                static_cast<std::size_t>(1 + p.chords_per_vertex));
   const auto add = [&edges](std::int64_t a, std::int64_t b) {
     if (a == b) return;
-    if (a > b) std::swap(a, b);
-    edges.emplace_back(a, b);
+    edges.emplace_back(static_cast<std::int32_t>(a),
+                       static_cast<std::int32_t>(b));
   };
   for (std::int64_t v = 0; v < core; ++v) add(v, (v + 1) % core);
   Rng rng(p.seed);
@@ -42,30 +45,40 @@ Csr build_graph(const Params& p) {
     }
   }
 
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
+  // Both directions of every edge into a CSR, then each row (about
+  // 2 + 2 * chords_per_vertex entries) sorted and deduplicated in place
+  // and compacted, so every row comes out ascending and unique.
+  const auto nv = static_cast<std::size_t>(p.num_vertices);
   Csr adj;
-  std::vector<std::int64_t> degree(static_cast<std::size_t>(p.num_vertices),
-                                   0);
+  adj.offsets.assign(nv + 1, 0);
   for (const auto& [a, b] : edges) {
-    ++degree[static_cast<std::size_t>(a)];
-    ++degree[static_cast<std::size_t>(b)];
+    ++adj.offsets[static_cast<std::size_t>(a) + 1];
+    ++adj.offsets[static_cast<std::size_t>(b) + 1];
   }
-  adj.offsets.resize(static_cast<std::size_t>(p.num_vertices) + 1, 0);
-  for (std::int64_t v = 0; v < p.num_vertices; ++v) {
-    adj.offsets[static_cast<std::size_t>(v) + 1] =
-        adj.offsets[static_cast<std::size_t>(v)] +
-        degree[static_cast<std::size_t>(v)];
-  }
+  for (std::size_t v = 1; v <= nv; ++v) adj.offsets[v] += adj.offsets[v - 1];
   adj.values.resize(static_cast<std::size_t>(adj.offsets.back()));
   std::vector<std::int64_t> fill(adj.offsets.begin(), adj.offsets.end() - 1);
   for (const auto& [a, b] : edges) {
     adj.values[static_cast<std::size_t>(fill[static_cast<std::size_t>(a)]++)] =
-        static_cast<std::int32_t>(b);
+        b;
     adj.values[static_cast<std::size_t>(fill[static_cast<std::size_t>(b)]++)] =
-        static_cast<std::int32_t>(a);
+        a;
   }
+
+  const auto first = adj.values.begin();
+  std::int64_t out = 0;
+  for (std::size_t v = 0; v < nv; ++v) {
+    const auto lo = first + adj.offsets[v];
+    const auto hi = first + adj.offsets[v + 1];
+    std::sort(lo, hi);
+    const auto end = std::unique(lo, hi);
+    adj.offsets[v] = out;
+    for (auto it = lo; it != end; ++it) {
+      adj.values[static_cast<std::size_t>(out++)] = *it;
+    }
+  }
+  adj.offsets[nv] = out;
+  adj.values.resize(static_cast<std::size_t>(out));
   return adj;
 }
 

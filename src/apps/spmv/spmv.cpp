@@ -16,10 +16,14 @@ std::vector<Edge> build_graph(const Params& p) {
 
   // Endpoint pool: every edge appends both endpoints, so a uniform pick
   // from the pool is a degree-proportional pick over vertices — the
-  // classic preferential-attachment construction.
+  // classic preferential-attachment construction.  The seed clique has
+  // m(m+1)/2 edges and every later vertex at most m, so num_rows * m
+  // bounds the edge count.
+  const auto max_edges = static_cast<std::size_t>(p.num_rows * m);
   std::vector<std::int32_t> pool;
+  pool.reserve(2 * max_edges);
   std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(p.num_rows * m));
+  edges.reserve(max_edges);
 
   auto add_edge = [&](std::int32_t u, std::int32_t v) {
     const auto [a, b] = std::minmax(u, v);
@@ -34,9 +38,11 @@ std::vector<Edge> build_graph(const Params& p) {
     for (std::int32_t v = u + 1; v < seed_n; ++v) add_edge(u, v);
   }
 
+  std::vector<std::int32_t> targets;
+  targets.reserve(static_cast<std::size_t>(m));
   for (std::int64_t t = seed_n; t < p.num_rows; ++t) {
     const auto self = static_cast<std::int32_t>(t);
-    std::vector<std::int32_t> targets;
+    targets.clear();
     auto unusable = [&](std::int32_t v) {
       return v == self ||  // no self-loops (self enters the pool with its
                            // first edge) and no duplicate parallel edges
@@ -54,9 +60,30 @@ std::vector<Edge> build_graph(const Params& p) {
     }
   }
 
-  std::sort(edges.begin(), edges.end(), [](const Edge& x, const Edge& y) {
-    return std::tie(x.a, x.b, x.w) < std::tie(y.a, y.b, y.w);
-  });
+  pool = {};  // freed before the sort allocates its index arrays
+
+  // Sort by (a, b) with a stable counting sort on a alone.  Within one a
+  // the edges were emitted with ascending, distinct b: the clique's (u, v)
+  // by ascending v, then each later vertex t's (v, t) in t order.  Each
+  // edge's slot is computed first and the list is permuted in place, so
+  // only one copy of the edges is ever live.
+  SDSM_REQUIRE(edges.size() <= UINT32_MAX);
+  std::vector<std::uint32_t> slot(static_cast<std::size_t>(p.num_rows) + 1,
+                                  0);
+  for (const Edge& e : edges) ++slot[static_cast<std::size_t>(e.a) + 1];
+  for (std::size_t v = 1; v < slot.size(); ++v) slot[v] += slot[v - 1];
+  std::vector<std::uint32_t> dest(edges.size());
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    dest[i] = slot[static_cast<std::size_t>(edges[i].a)]++;
+  }
+  // Each swap puts one edge in its final slot.
+  for (std::uint32_t i = 0; i < dest.size(); ++i) {
+    while (dest[i] != i) {
+      const std::uint32_t j = dest[i];
+      std::swap(edges[i], edges[j]);
+      std::swap(dest[i], dest[j]);
+    }
+  }
   return edges;
 }
 

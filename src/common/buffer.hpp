@@ -25,8 +25,9 @@ class Writer {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void put(const T& value) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + sizeof(T));
+    std::memcpy(bytes_.data() + at, &value, sizeof(T));
   }
 
   /// Writes a length-prefixed span of trivially copyable elements.

@@ -1,8 +1,10 @@
 #include "src/proc/launcher.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
 #include <sys/stat.h>
+#include <sys/syscall.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -13,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "src/api/plan/fold.hpp"
 #include "src/common/buffer.hpp"
@@ -69,6 +70,7 @@ std::string describe_exit(int status) {
 
 struct Worker {
   pid_t pid = -1;
+  int pidfd = -1;  ///< turns readable when the worker exits
   bool done = false;
   int status = 0;
 };
@@ -150,6 +152,15 @@ LaunchResult run_job(const serve::JobRequest& req, const LaunchOptions& opt) {
   std::vector<std::string> report_paths(opt.nprocs);
   out.log_paths.resize(opt.nprocs);
   std::vector<Worker> workers(opt.nprocs);
+  // Every return below closes the workers' pidfds.
+  struct ClosePidfds {
+    std::vector<Worker>& workers;
+    ~ClosePidfds() {
+      for (const Worker& w : workers) {
+        if (w.pidfd >= 0) ::close(w.pidfd);
+      }
+    }
+  } close_pidfds{workers};
   for (std::uint32_t k = 0; k < opt.nprocs; ++k) {
     char name[64];
     std::snprintf(name, sizeof(name), "/worker-%u.log", k);
@@ -208,40 +219,60 @@ LaunchResult run_job(const serve::JobRequest& req, const LaunchOptions& opt) {
       ::_exit(127);
     }
     workers[k].pid = pid;
+    // Through syscall(): glibc 2.36's <sys/pidfd.h> lacks C linkage.
+    workers[k].pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+    if (workers[k].pidfd < 0) {
+      out.error = std::string("proc::run_job: pidfd_open failed (Linux >= "
+                              "5.3 required): ") +
+                  std::strerror(errno);
+      ::close(listen_fd);
+      kill_remaining(workers);
+      return out;
+    }
   }
   ::close(listen_fd);
 
-  // --- Exit monitor: every worker must exit 0 before the deadline.
+  // --- Exit monitor: every worker must exit 0 before the deadline.  Each
+  // pass reaps what has exited, then sleeps in poll() on the live
+  // workers' pidfds until one exits or the deadline passes.
   const Clock::time_point deadline =
       Clock::now() + std::chrono::seconds(opt.timeout_seconds);
-  std::uint32_t live = opt.nprocs;
   std::int32_t failed = -1;
-  while (live > 0) {
-    bool reaped = false;
+  std::vector<pollfd> live;
+  live.reserve(opt.nprocs);
+  for (;;) {
+    live.clear();
     for (std::uint32_t k = 0; k < opt.nprocs; ++k) {
       Worker& wk = workers[k];
       if (wk.done) continue;
-      const pid_t r = ::waitpid(wk.pid, &wk.status, WNOHANG);
-      if (r == wk.pid) {
+      if (::waitpid(wk.pid, &wk.status, WNOHANG) == wk.pid) {
         wk.done = true;
-        --live;
-        reaped = true;
         if (wk.status != 0 && failed < 0) failed = static_cast<int>(k);
+      } else {
+        live.push_back({wk.pidfd, POLLIN, 0});
       }
     }
-    if (failed >= 0) break;
-    if (live == 0) break;
-    if (Clock::now() >= deadline) {
+    if (failed >= 0 || live.empty()) break;
+    const auto left_ms =
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+            .count();
+    if (left_ms <= 0) {
       kill_remaining(workers);
       char buf[128];
       std::snprintf(buf, sizeof(buf),
-                    "proc::run_job: timeout after %d s waiting for %u "
+                    "proc::run_job: timeout after %d s waiting for %zu "
                     "worker(s)",
-                    opt.timeout_seconds, live);
+                    opt.timeout_seconds, live.size());
       out.error = buf;
       return out;
     }
-    if (!reaped) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    if (::poll(live.data(), live.size(), static_cast<int>(left_ms)) < 0 &&
+        errno != EINTR) {
+      out.error =
+          std::string("proc::run_job: poll failed: ") + std::strerror(errno);
+      kill_remaining(workers);
+      return out;
+    }
   }
   if (failed >= 0) {
     kill_remaining(workers);

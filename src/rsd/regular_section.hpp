@@ -108,8 +108,8 @@ class RegularSection {
     if (empty()) return;
     const std::size_t n = dims_.size();
     SDSM_REQUIRE(layout.extents.size() == n);
-    std::int64_t mult_buf[8];
-    std::int64_t idx_buf[8];
+    std::int64_t mult_buf[8] = {};
+    std::int64_t idx_buf[8] = {};
     SDSM_REQUIRE(n <= 8);
     if (layout.column_major) {
       std::int64_t m = 1;

@@ -191,6 +191,7 @@ JobStats KernelServer::wait(std::uint64_t job_id) {
   }
   const std::shared_ptr<Job> job = it->second;
   done_cv_.wait(lk, [&] { return job->done; });
+  jobs_.erase(job_id);  // by key: submits may rehash while we wait
   return job->stats;
 }
 

@@ -57,9 +57,11 @@ class KernelServer {
   /// execution.
   SubmitResult submit(const JobRequest& req);
 
-  /// Blocks until the job completes and returns its stats.  An unknown id
-  /// yields ok=false immediately (ids are never reused, so an unknown id
-  /// is a caller bug, not a race).
+  /// Blocks until the job completes and returns its stats, then forgets
+  /// the job, so a server's memory does not grow with the jobs it has
+  /// served.  An unknown id, or one already waited on, yields ok=false
+  /// immediately (ids are never reused, so that is a caller bug, not a
+  /// race).
   JobStats wait(std::uint64_t job_id);
 
   ServerStats stats() const;

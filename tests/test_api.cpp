@@ -3,6 +3,8 @@
 // checksum parity for kernels written once (moldyn and spmv).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 
@@ -115,6 +117,83 @@ TEST(SpmvGraph, DeterministicAndPowerLaw) {
   }
   const int max_deg = *std::max_element(deg.begin(), deg.end());
   EXPECT_GT(static_cast<double>(max_deg), 5.0 * avg);
+}
+
+/// FNV-1a over the bytes of each value added.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  template <class T>
+  void add(const T& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+  }
+};
+
+// Every CSR row strictly ascending, no self loop, and u in row v iff v in
+// row u.
+void expect_sorted_symmetric(const apps::Csr& adj) {
+  for (std::size_t v = 0; v < adj.rows(); ++v) {
+    const auto row = adj.row(v);
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      ASSERT_NE(row[i], static_cast<std::int32_t>(v)) << "self loop " << v;
+      if (i > 0) {
+        ASSERT_LT(row[i - 1], row[i]) << "row " << v;
+      }
+      const auto back = adj.row(static_cast<std::size_t>(row[i]));
+      ASSERT_TRUE(std::binary_search(back.begin(), back.end(),
+                                     static_cast<std::int32_t>(v)))
+          << v << " -> " << row[i] << " has no reverse edge";
+    }
+  }
+}
+
+// The builders' outputs, byte for byte: edge order and weight bits for
+// spmv, the whole CSR for pagerank.  The digests were recorded from the
+// comparison-sort builders, so a faster build must reproduce them exactly
+// (traffic and checksums on every backend depend on that order).
+TEST(SpmvGraph, PinnedOutputs) {
+  Digest edges_digest, adj_digest;
+  for (const std::uint64_t seed : {1ull, 7ull, 42ull}) {
+    for (const std::int64_t n : {3, 5, 100, 4096}) {
+      for (const int m : {1, 2, 4, 8}) {
+        apps::spmv::Params p;
+        p.num_rows = n;
+        p.edges_per_vertex = m;
+        p.seed = seed;
+        const auto edges = apps::spmv::build_graph(p);
+        edges_digest.add(edges.size());
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+          const auto& e = edges[i];
+          ASSERT_LT(e.a, e.b);
+          ASSERT_GE(e.a, 0);
+          ASSERT_LT(e.b, n);
+          if (i > 0) {
+            const auto& d = edges[i - 1];
+            ASSERT_TRUE(d.a < e.a || (d.a == e.a && d.b < e.b))
+                << "edge " << i << " out of (a, b) order";
+          }
+          edges_digest.add(e.a);
+          edges_digest.add(e.b);
+          edges_digest.add(e.w);
+        }
+
+        apps::pagerank::Params q;
+        q.num_vertices = n;
+        q.edges_per_vertex = m;
+        q.seed = seed;
+        const auto adj = apps::pagerank::build_adjacency(q);
+        ASSERT_EQ(adj.rows(), static_cast<std::size_t>(n));
+        ASSERT_EQ(adj.values.size(), 2 * edges.size());
+        expect_sorted_symmetric(adj);
+        for (const std::int64_t o : adj.offsets) adj_digest.add(o);
+        for (const std::int32_t v : adj.values) adj_digest.add(v);
+      }
+    }
+  }
+  EXPECT_EQ(edges_digest.h, 0x66864d27409f1423ull);
+  EXPECT_EQ(adj_digest.h, 0x60b78f79c855dc0aull);
 }
 
 TEST(SpmvSeq, DeterministicAndStable) {

@@ -60,6 +60,58 @@ TEST(GraphBuild, DeterministicWithTwoComponents) {
   }
 }
 
+// The builder's CSR, byte for byte, over tiny graphs (where ring, chord
+// and tail edges collide most), isolated tails of 0, 2 and 7 vertices,
+// and several seeds.  The digest was recorded from the build that sorted
+// and deduplicated the whole edge list, so a faster build must reproduce
+// it exactly (frontiers, traffic and checksums depend on row order).
+TEST(GraphBuild, PinnedOutputs) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a
+  const auto add = [&h](const auto& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    for (std::size_t i = 0; i < sizeof(v); ++i) {
+      h = (h ^ p[i]) * 0x100000001b3ull;
+    }
+  };
+  int graphs = 0;
+  for (const std::uint64_t seed : {1ull, 11ull, 42ull}) {
+    for (const std::int64_t n : {3, 5, 100, 4096}) {
+      for (const int chords : {0, 1, 2, 4}) {
+        for (const std::int64_t isolated : {0, 2, 7}) {
+          if (isolated > n - 2) continue;
+          apps::graph::Params p;
+          p.num_vertices = n;
+          p.chords_per_vertex = chords;
+          p.isolated = isolated;
+          p.seed = seed;
+          const Csr adj = apps::graph::build_graph(p);
+          ASSERT_EQ(adj.rows(), static_cast<std::size_t>(n));
+          ASSERT_EQ(adj.values.size(),
+                    static_cast<std::size_t>(adj.offsets.back()));
+          for (std::int64_t v = 0; v < n; ++v) {
+            const auto row = adj.row(static_cast<std::size_t>(v));
+            for (std::size_t i = 0; i < row.size(); ++i) {
+              ASSERT_NE(row[i], v) << "self loop " << v;
+              if (i > 0) {
+                ASSERT_LT(row[i - 1], row[i]) << "row " << v;
+              }
+              const auto back = adj.row(static_cast<std::size_t>(row[i]));
+              ASSERT_TRUE(std::binary_search(back.begin(), back.end(),
+                                             static_cast<std::int32_t>(v)))
+                  << v << " -> " << row[i] << " has no reverse edge";
+            }
+          }
+          for (const std::int64_t o : adj.offsets) add(o);
+          for (const std::int32_t v : adj.values) add(v);
+          ++graphs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(graphs, 108);
+  EXPECT_EQ(h, 0x09fa6fe0e23cc003ull);
+}
+
 // Tmk base runs Tmk optimized's code minus its Validate declarations: the
 // convergence flag, the frontier rebuild and the reduction are declared on
 // the optimized backend only.

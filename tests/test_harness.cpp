@@ -77,7 +77,8 @@ TEST(Harness, KernelRowsEmitEveryCounterAndTheSchemaDeclaresIt) {
   const std::string plain_row = text.substr(second_row);
   v = 7;
   for (const DsmCounter& c : kDsmCounters) {
-    const std::string key = "\"" + std::string(c.name) + "\"";
+    std::string key = "\"";
+    key.append(c.name).append("\"");
     SCOPED_TRACE(key);
     EXPECT_NE(schema.find("{\"name\": " + key + ", \"unit\": \"" +
                           std::string(c.unit) + "\", \"gate\": \"" +

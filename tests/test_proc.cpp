@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -59,10 +60,24 @@ api::KernelResult run_threaded(const serve::JobRequest& req,
   return api::run_kernel(req.backend, prepared.spec, prepared.base_options);
 }
 
+/// Entries of /proc/self/fd.  run_job opens a rendezvous listener and a
+/// pidfd per worker, so the count before and after a job, on success and
+/// on every failure path, must agree.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
 void expect_parity(const serve::JobRequest& req) {
   LaunchOptions lopt;
   lopt.nprocs = kNprocs;
+  const std::size_t fds = open_fds();
   const LaunchResult lr = run_job(req, lopt);
+  EXPECT_EQ(open_fds(), fds);
   ASSERT_TRUE(lr.ok) << lr.error;
 
   const api::KernelResult t = run_threaded(req, kNprocs);
@@ -206,7 +221,9 @@ TEST(ProcFailure, WorkerKilledMidRun) {
   lopt.nprocs = 2;
   lopt.timeout_seconds = 60;
   lopt.extra_env.push_back("SDSM_PROC_TEST_CRASH_NODE=1");
+  const std::size_t fds = open_fds();
   const LaunchResult lr = run_job(spmv_request(api::Backend::kTmkBase), lopt);
+  EXPECT_EQ(open_fds(), fds);
   EXPECT_FALSE(lr.ok);
   // The error names the dead worker and its exit status.
   EXPECT_NE(lr.error.find("worker 1"), std::string::npos) << lr.error;
@@ -218,7 +235,9 @@ TEST(ProcFailure, RendezvousTimeout) {
   lopt.nprocs = 2;
   lopt.timeout_seconds = 6;  // worker rendezvous deadline: 3 s
   lopt.extra_env.push_back("SDSM_PROC_TEST_STALL_NODE=1");
+  const std::size_t fds = open_fds();
   const LaunchResult lr = run_job(spmv_request(api::Backend::kTmkBase), lopt);
+  EXPECT_EQ(open_fds(), fds);
   EXPECT_FALSE(lr.ok);
   // Node 0's own deadline fires first and its diagnostic surfaces in the
   // launcher error (via the failure report / stderr tail), naming the

@@ -440,6 +440,9 @@ TEST(ServeAdmission, ShutdownDrainsHeldQueueThenRejects) {
   const JobStats sb = server.wait(b.job_id);
   EXPECT_TRUE(sa.ok) << sa.error;
   EXPECT_TRUE(sb.ok) << sb.error;
+  // Delivered stats are the server's last record of a job: it keeps
+  // nothing per served job.
+  EXPECT_EQ(server.wait(a.job_id).error, "unknown job id");
 
   const ServerStats st = server.stats();
   EXPECT_EQ(st.completed, 2u);
