@@ -35,6 +35,13 @@ class Counter {
 //
 // Timers are wall ns summed over nodes.  Network traffic is not here:
 // net::NetStats counts every message and byte on the fabric.
+//
+// Where a request's handler runs moves time between the fetch timers.  On
+// the in-process fabric without a wire model the holder's work runs on
+// the requester's thread inside post (Transport::serve_inline), so it
+// lands in t_fetch_ns's planning share and t_wait_ns reads close to 0.
+// With service threads (sockets, the mesh, a wire model) it overlaps the
+// requester and t_wait_ns holds the round trip.
 #define SDSM_DSM_COUNTERS(X)                                                  \
   X(read_faults, count, exact)       /* SIGSEGV-driven page fetches */        \
   X(write_faults, count, exact)      /* SIGSEGV-driven twin creations */      \
@@ -70,7 +77,8 @@ class Counter {
   X(t_fetch_ns, ns, lower)           /* fetch_pages(): plan + wait + apply */ \
   X(t_close_ns, ns, lower)           /* close_interval() */                   \
   X(t_metas_ns, ns, lower)           /* process_metas() */                    \
-  X(t_wait_ns, ns, lower)            /* fetch_pages(): blocked on replies */  \
+  X(t_wait_ns, ns, lower)            /* fetch_pages(): blocked on replies, */ \
+                                     /* ~0 when served inline, see above */   \
   X(diff_create_ns, ns, lower)       /* twin-vs-page scans */                 \
   X(diff_apply_ns, ns, lower)        /* Diff::apply loops */
 

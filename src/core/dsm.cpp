@@ -55,11 +55,17 @@ DsmNode::DsmNode(DsmRuntime& rt, NodeId id)
   vm::FaultDispatcher::instance().register_region(
       region_.base(), region_.size(),
       [this](void* addr, vm::FaultAccess access) { handle_fault(addr, access); });
-  service_thread_ = std::thread([this] { service_loop(); });
+  // The in-process fabric runs this node's handlers on the threads that
+  // send to it; every other fabric queues them for a service thread.
+  if (!rt.net_->serve_inline(id_,
+                             [this](net::Message& msg) { dispatch(msg); })) {
+    service_thread_ = std::thread([this] { service_loop(); });
+  }
 }
 
 DsmNode::~DsmNode() {
   SDSM_ASSERT(!service_thread_.joinable());  // runtime joins before destruction
+  rt_.net_->serve_inline(id_, {});
   // No prefetch ticket may outlive its run: DsmRuntime::run drains any the
   // body left in flight (early exit between barrier and next validate).
   SDSM_ASSERT(prefetch_.empty());
@@ -354,7 +360,7 @@ void DsmNode::complete_fetch(PendingFetch pf) {
 
   // Sort each page's contributions into HB order.  Only the interval-table
   // reads need meta_mu_; the byte work below runs without it so this node's
-  // service thread stays responsive to other nodes' requests.
+  // handlers stay responsive to other nodes' requests.
   {
     std::lock_guard<std::mutex> g(meta_mu_);
     for (auto& [page, contribs] : got) {
@@ -461,7 +467,8 @@ std::optional<IntervalMeta> DsmNode::close_interval() {
 
   // Phase 1 (no lock): encode the diffs.  Twins and page bytes are
   // compute-thread-private; only the diff store and table need meta_mu_,
-  // and keeping the encode outside it keeps the service thread responsive.
+  // and keeping the encode outside it keeps this node's handlers
+  // responsive.
   struct Encoded {
     PageId page;
     Diff diff;
@@ -725,8 +732,8 @@ void DsmNode::gc_drop() {
     // The preceding barrier shipped every interval up to the global clock,
     // so dropping that prefix cannot orphan a future lookup.  The table may
     // already hold *newer* metas — a fast peer can leave the GC rendezvous,
-    // create intervals, and push them to this node's service thread before
-    // this compute thread reaches gc_drop — so only the covered prefix is
+    // create intervals, and push them to this node's handlers before this
+    // compute thread reaches gc_drop — so only the covered prefix is
     // dropped.
     SDSM_ASSERT(table_[n].max_seq() >= vc_.get(n));
     table_[n].drop_through(vc_.get(n));
@@ -746,12 +753,7 @@ void DsmNode::insert_metas_locked(const std::vector<IntervalMeta>& metas) {
               return std::tie(a->id.node, a->id.seq) <
                      std::tie(b->id.node, b->id.seq);
             });
-  for (const IntervalMeta* m : ordered) {
-    auto& log = table_[m->id.node];
-    if (m->id.seq <= log.max_seq()) continue;  // duplicate
-    SDSM_ASSERT(m->id.seq == log.max_seq() + 1);  // senders never leave gaps
-    log.push(*m);
-  }
+  for (const IntervalMeta* m : ordered) table_[m->id.node].insert(*m);
 }
 
 std::vector<IntervalMeta> DsmNode::metas_not_covered_locked(
@@ -762,6 +764,10 @@ std::vector<IntervalMeta> DsmNode::metas_not_covered_locked(
     for (std::uint32_t s = std::max(bound.get(n), log.base) + 1;
          s <= log.max_seq(); ++s) {
       out.push_back(log.get(s));
+    }
+    for (auto it = log.ahead.upper_bound(bound.get(n)); it != log.ahead.end();
+         ++it) {
+      out.push_back(it->second);
     }
   }
   return out;
@@ -774,34 +780,39 @@ std::vector<IntervalMeta> DsmNode::metas_not_covered_locked(
 void DsmNode::service_loop() {
   for (;;) {
     net::Message msg = rt_.net_->recv(net::Port::kService, id_);
-    switch (msg.type) {
-      case net::kControlStop:
-        return;
-      case net::kControlSync:
-        serve_control_sync(msg);
-        break;
-      case kGetDiffs:
-        serve_get_diffs(msg);
-        break;
-      case kLockAcquire:
-        serve_lock_acquire(msg);
-        break;
-      case kLockRelease:
-        serve_lock_release(msg);
-        break;
-      case kBarrierArrive:
-        serve_barrier_arrive(msg);
-        break;
-      case kAppData: {
-        std::lock_guard<std::mutex> g(inbox_mu_);
-        inbox_.emplace_back(msg.src, std::move(msg.payload));
-        inbox_cv_.notify_one();
-        break;
-      }
-      default:
-        SDSM_UNREACHABLE("unexpected message type on service port");
-    }
+    if (!dispatch(msg)) return;
   }
+}
+
+bool DsmNode::dispatch(net::Message& msg) {
+  switch (msg.type) {
+    case net::kControlStop:
+      return false;
+    case net::kControlSync:
+      serve_control_sync(msg);
+      break;
+    case kGetDiffs:
+      serve_get_diffs(msg);
+      break;
+    case kLockAcquire:
+      serve_lock_acquire(msg);
+      break;
+    case kLockRelease:
+      serve_lock_release(msg);
+      break;
+    case kBarrierArrive:
+      serve_barrier_arrive(msg);
+      break;
+    case kAppData: {
+      std::lock_guard<std::mutex> g(inbox_mu_);
+      inbox_.emplace_back(msg.src, std::move(msg.payload));
+      inbox_cv_.notify_one();
+      break;
+    }
+    default:
+      SDSM_UNREACHABLE("unexpected message type on service port");
+  }
+  return true;
 }
 
 void DsmNode::send_app_data(NodeId dst, std::vector<std::uint8_t> payload) {
@@ -900,7 +911,7 @@ DsmRuntime::DsmRuntime(DsmConfig config,
                    "DsmRuntime: transport ctor is for process mode");
   SDSM_REQUIRE(net_ != nullptr && net_->num_nodes() == config.num_nodes);
   SDSM_REQUIRE(config.local_node < config.num_nodes);
-  // Only the hosted node gets a region + service thread; the rest of the
+  // Only the hosted node gets a region + handlers; the rest of the
   // slots stay null so stray cross-node access trips node()'s check
   // instead of silently reading another process's memory.
   nodes_.resize(config.num_nodes);
@@ -912,7 +923,8 @@ DsmRuntime::DsmRuntime(DsmConfig config,
 DsmRuntime::~DsmRuntime() {
   // Stop exactly the services hosted here: in process mode a blanket
   // stop_all_services() would shoot down peers that are still serving
-  // their own teardown-time fetches.
+  // their own teardown-time fetches.  An inline node's handler ignores
+  // the stop; it has no thread to join.
   for (const NodeId n : local_ids_) net_->stop_service(n);
   for (auto& node : nodes_) {
     if (node != nullptr && node->service_thread_.joinable()) {
@@ -929,9 +941,9 @@ void DsmRuntime::run(const std::function<void(DsmNode&)>& body) {
     if (node == nullptr) continue;
     workers.emplace_back([&body, &node] {
       body(*node);
-      // Still on the node's compute thread, with every peer's service
-      // thread alive: the only safe point to settle a prefetch the body's
-      // early exit left on the wire.
+      // Still on the node's compute thread, with every peer's handlers
+      // live: the only safe point to settle a prefetch the body's early
+      // exit left on the wire.
       node->drain_prefetch();
     });
   }

@@ -8,17 +8,28 @@
 //   - one compute thread (supplied by the application via DsmRuntime::run),
 //     which executes application code, takes page faults, and performs
 //     acquires/releases;
-//   - one service thread, which answers remote diff requests and hosts this
-//     node's share of the lock/barrier managers (standing in for
-//     TreadMarks' SIGIO request handler).
+//   - the node's request handlers (dispatch), which answer remote diff
+//     requests and host this node's share of the lock/barrier managers,
+//     standing in for TreadMarks' SIGIO request handler.  On the
+//     in-process fabric without a wire model they run on the thread that
+//     sends the request (net::Transport::serve_inline); every other
+//     fabric queues requests for one service thread per node.
 //
 // Thread-safety contract: a node's page metadata is touched only by its
 // compute thread (including inside SIGSEGV handlers) and, between run()
 // calls, by the host thread, which grows it as the shared heap grows and
 // clears it at reset_arena.  The interval table, diff store, and
-// lock/barrier state are shared between the node's compute and service
-// threads and guarded by meta_mu_.  Service threads never block on other
-// nodes, which rules out cross-node deadlock by construction.
+// lock/barrier state are shared between the node's compute thread and
+// whichever threads run its handlers, and guarded by meta_mu_; the app
+// inbox is guarded by inbox_mu_.
+//
+// Deadlock freedom: a handler takes only its own node's meta_mu_ or
+// inbox_mu_, sends only on reply ports, and never waits.  No caller holds
+// a meta_mu_ or a channel lock when it sends on a service port
+// (barrier_round, lock_release, post_fetch after plan_fetch, and
+// complete_fetch's retry all release first), so a handler running on the
+// sender's thread never waits on a lock its caller holds.  Messages from
+// one sender are handled in its program order either way.
 #pragma once
 
 #include <algorithm>
@@ -105,8 +116,8 @@ enum MsgType : std::uint32_t {
   kBarrierRelease,
   /// Application-plane payload between compute threads (hybrid execution:
   /// inspector exchanges and executor gather/scatter carried over the DSM
-  /// fabric).  Routed by the service thread into the node's app inbox;
-  /// moves no protocol state.  Counted like any data message.
+  /// fabric).  Routed by dispatch into the node's app inbox; moves no
+  /// protocol state.  Counted like any data message.
   kAppData,
 };
 
@@ -185,10 +196,23 @@ struct PageMeta {
 };
 
 /// Dense per-creator interval log that supports discarding a prefix at GC:
-/// entries cover seqs [base+1, base+v.size()].
+/// entries cover seqs [base+1, base+v.size()], plus the metas that arrived
+/// ahead of a gap.
+///
+/// A sender picks the metas a peer lacks against a lower bound on the
+/// peer's knowledge, and a barrier exit raises every bound to the global
+/// clock.  The peer's own compute thread records the barrier's metas only
+/// when it wakes from the release, so a lock release pushed to that peer
+/// (as the lock's home) in the meantime carries metas newer than its table.
+/// They wait in `ahead` until the barrier's metas fill the gap.  Nothing
+/// that reads them can need the gap itself: every node that sends a
+/// request after the barrier already covers the global clock, and the
+/// compute thread applies a meta only after recording it and every meta
+/// before it, so get() reads dense entries only.
 struct MetaLog {
   std::uint32_t base = 0;
   std::vector<IntervalMeta> v;
+  std::map<std::uint32_t, IntervalMeta> ahead;
 
   const IntervalMeta& get(std::uint32_t seq) const {
     SDSM_ASSERT(seq > base && seq <= max_seq());
@@ -198,9 +222,23 @@ struct MetaLog {
     return base + static_cast<std::uint32_t>(v.size());
   }
   void push(IntervalMeta m) { v.push_back(std::move(m)); }
+  /// Records `m` once, in seq order, holding it in `ahead` while a gap
+  /// precedes it.
+  void insert(const IntervalMeta& m) {
+    if (m.id.seq <= max_seq()) return;  // duplicate
+    if (m.id.seq > max_seq() + 1) {
+      ahead.try_emplace(m.id.seq, m);
+      return;
+    }
+    push(m);
+    while (!ahead.empty() && ahead.begin()->first <= max_seq() + 1) {
+      auto first = ahead.extract(ahead.begin());
+      if (first.key() == max_seq() + 1) push(std::move(first.mapped()));
+    }
+  }
   /// Discards entries with seq <= through (GC).  Entries beyond `through`
   /// are kept: a fast peer may already have raced past the GC rendezvous
-  /// and pushed post-GC metas into this table via the service thread.
+  /// and pushed post-GC metas into this table through a handler.
   void drop_through(std::uint32_t through) {
     SDSM_ASSERT(through >= base && through <= max_seq());
     v.erase(v.begin(), v.begin() + (through - base));
@@ -298,9 +336,10 @@ class DsmNode {
   /// node's compute thread after the body returns: a data-dependent early
   /// exit (rebuild_when / a convergence flag ending the step loop between
   /// a barrier exit and the next validate) can leave a posted prefetch in
-  /// flight, and its tickets must not outlive the run — peers' service
-  /// threads have already sent the replies, so the drain never blocks on
-  /// new work.  Accounting invariant, asserted in tests:
+  /// flight, and its tickets must not outlive the run — the peers'
+  /// handlers have already sent the replies (inline, before post
+  /// returned), or their service threads still run, so the drain never
+  /// blocks on new work.  Accounting invariant, asserted in tests:
   /// cross_prefetch_posts == cross_prefetch_consumes +
   /// cross_prefetch_drains.
   void drain_prefetch();
@@ -413,8 +452,8 @@ class DsmNode {
   /// Records foreign metas in the table (for later forwarding) and applies
   /// the write notices (invalidations) of every meta this compute thread
   /// has not applied yet.  Application is tracked by applied_vc_, which is
-  /// independent of the table: the service thread may have learned a meta
-  /// (e.g. as barrier manager) long before the compute thread acquires it.
+  /// independent of the table: a handler may have recorded a meta (e.g. as
+  /// barrier manager) long before the compute thread acquires it.
   void process_metas(std::vector<IntervalMeta> metas);
 
   /// Metas from this node's table that `peer` may lack, given a lower bound
@@ -431,7 +470,12 @@ class DsmNode {
   void reset_for_reuse();
 
   // Service side.
+  /// The service thread's loop: recv + dispatch until kControlStop.
   void service_loop();
+  /// Runs the handler for one service-port message, on the service thread
+  /// or (inline fabric) on the sending thread.  Returns false for
+  /// kControlStop, which moves no state.
+  bool dispatch(net::Message& msg);
   void serve_get_diffs(const net::Message& msg);
 
   // Lock/barrier manager state lives in sync.cpp helpers.
@@ -506,7 +550,7 @@ class DsmNode {
   /// validates prove "nothing pending anywhere" in O(1).
   std::uint32_t invalid_pages_ = 0;
 
-  // Shared between compute and service threads of this node.
+  // Shared between the compute thread and this node's handlers.
   std::mutex meta_mu_;
   std::vector<MetaLog> table_;  // [creator]
   /// Diffs held by this node, keyed by (page, creator, seq): its own plus
@@ -520,12 +564,13 @@ class DsmNode {
   /// quiesce_fence arrivals (node, request_id); manager side, node 0 only.
   std::vector<std::pair<NodeId, std::uint64_t>> fence_waiters_;
 
-  /// Application-data inbox: kAppData payloads deposited by the service
-  /// thread in arrival order, consumed by the compute thread.
+  /// Application-data inbox: kAppData payloads deposited by dispatch in
+  /// arrival order, consumed by the compute thread.
   std::mutex inbox_mu_;
   std::condition_variable inbox_cv_;
   std::deque<std::pair<NodeId, std::vector<std::uint8_t>>> inbox_;
 
+  /// Runs service_loop unless the fabric accepted dispatch inline.
   std::thread service_thread_;
 };
 
@@ -606,9 +651,9 @@ class DsmRuntime {
   /// and re-protects every node's region (punching holes so physical pages
   /// are released), and clears all per-node protocol state — page tables,
   /// clocks, interval tables, diff stores, schedules, lock/barrier managers.
-  /// Transport, service threads, and cumulative statistics survive.  Must
-  /// only be called between run() invocations (no compute threads live, no
-  /// sync operation in flight).
+  /// Transport, service threads (where the fabric has them), and
+  /// cumulative statistics survive.  Must only be called between run()
+  /// invocations (no compute threads live, no sync operation in flight).
   void reset_arena();
 
  private:

@@ -86,7 +86,7 @@ void DsmNode::lock_release(LockId lock) {
 }
 
 // ---------------------------------------------------------------------------
-// Locks: home (service thread)
+// Locks: home (request handlers)
 // ---------------------------------------------------------------------------
 
 void DsmNode::grant_lock_locked(LockId lock, const LockHome::Waiter& to) {
@@ -240,7 +240,7 @@ void DsmNode::serve_barrier_arrive(const net::Message& msg) {
   // compute thread wakes on it, and after the run's final barrier nothing
   // downstream ever waits on the released peers again — so if it woke
   // first it could finish the run and snapshot the stats while this
-  // service thread was still sending (and counting) the peers' releases,
+  // handler was still sending (and counting) the peers' releases,
   // splitting those sends across a process-mode worker's snapshot cut.
   // With the self-release last, every counted release precedes the wake.
   const auto release_one = [&](const BarrierMgr::Arrival& a) {

@@ -272,7 +272,9 @@ void DsmNode::validate(const std::vector<AccessDescriptor>& descs) {
 
   // DIRECT descriptors go on the wire first — and *only* on the wire:
   // their diff requests are posted split-phase, then serviced remotely
-  // while this thread keeps working.  (DIRECT before INDIRECT also lets a
+  // while this thread keeps working.  (On the inline fabric this thread
+  // serves them itself inside post, one after another; socket and mesh
+  // fabrics keep the overlap.)  (DIRECT before INDIRECT also lets a
   // program list the indirection array itself as a DIRECT READ descriptor
   // so that Read_indices scans locally valid pages instead of
   // demand-faulting them one at a time.)

@@ -37,6 +37,12 @@ inline void cpu_pause() {
 ///   - The former 100,000-pause budget (~1.7 ms per idle wait) made every
 ///     workload 4-8x slower, with three quarters of moldyn-opt's node
 ///     time in barriers.
+///
+/// Those runs had two receivers per node, its compute and service threads.
+/// The in-process fabric without a wire model now serves requests on the
+/// sending thread, so a node has one receiver and a diff request's reply
+/// is queued before its wait starts; the socket fabric, the mesh and a
+/// wire model keep two.  The budget is not re-measured for one receiver.
 constexpr std::chrono::microseconds kSpinBudget{5};
 
 /// Pauses between two clock reads while spinning (~0.5 us of pauses per

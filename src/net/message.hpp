@@ -23,10 +23,11 @@ inline constexpr std::uint32_t kControlStop = 0xFFFFFFFFu;
 inline constexpr std::uint32_t kControlSync = 0xFFFFFFFEu;
 
 /// Each node owns two logical ports, mirroring TreadMarks' split between the
-/// request socket (served by the SIGIO handler / our service thread) and the
-/// reply path consumed by the faulting compute thread.
+/// request socket (served by the SIGIO handler; here by a service thread or
+/// an inline handler, see Transport::serve_inline) and the reply path
+/// consumed by the faulting compute thread.
 enum class Port : std::uint8_t {
-  kService = 0,  ///< incoming requests, consumed by the service thread
+  kService = 0,  ///< incoming requests, handled by the node's handlers
   kReply = 1,    ///< incoming replies, consumed by the compute thread
 };
 

@@ -15,6 +15,12 @@
 //     ratios, and
 //   - optional seeded delivery jitter for concurrency stress tests.
 //
+// Without a wire model the fabric serves inline: a node that registers a
+// service handler (serve_inline) has each service-port message handled on
+// the sending thread inside send(), after the same accounting, so it
+// runs no service thread.  With a wire model every message is queued
+// until its modelled delivery time and a service thread consumes it.
+//
 // The sibling SocketTransport (src/net/socket_transport.hpp) carries the
 // same traffic over real TCP sockets; select between them with
 // net::make_transport, api::BackendOptions::transport, or the --transport
@@ -23,6 +29,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <vector>
 
 #include "src/net/channel_transport.hpp"
 
@@ -34,8 +41,15 @@ class InProcTransport final : public ChannelTransport {
 
   void send(Port port, Message msg) override;
 
+  /// Accepts the handler unless the wire model is enabled: a modelled
+  /// delivery time cannot be honoured by a handler that runs at once.
+  bool serve_inline(NodeId node, ServiceHandler handler) override;
+
  private:
   Clock::time_point deliver_time(std::size_t payload_bytes);
+
+  /// Registered inline handlers by node (empty: queue for recv()).
+  std::vector<ServiceHandler> handlers_;
 
   std::mutex jitter_mu_;
   std::uint64_t jitter_state_;

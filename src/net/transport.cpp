@@ -32,6 +32,10 @@ std::optional<TransportKind> parse_transport(std::string_view name) {
   return std::nullopt;
 }
 
+bool Transport::serve_inline(NodeId /*node*/, ServiceHandler /*handler*/) {
+  return false;
+}
+
 Ticket Transport::post(Message msg) {
   msg.request_id = next_request_id(msg.src);
   const Ticket t{msg.src, msg.request_id};

@@ -19,21 +19,31 @@
 //     source node) and sends it on the service port; the returned Ticket
 //     names the reply that will arrive on the *source* node's reply port
 //     with the same request id.
+//   - A service-port message is handled either by the destination's
+//     service thread, which recv()s it from the queue, or — when the node
+//     registered an inline handler (serve_inline) — on the sending thread
+//     inside send(), before send() returns.  TreadMarks runs the handler
+//     in a SIGIO handler that interrupts the serving process; the inline
+//     path is the in-process analogue without the interruption.  Either
+//     way a handler only send()s, and only on reply ports: it never
+//     waits (that would deadlock the request/response cycle), and the
+//     in-process fabric aborts on a service-port send from inside an
+//     inline handler.
 //   - wait()/poll() may be called only by the compute thread of the node
 //     named in the ticket (`ticket.node`) — reply ports are single-
 //     consumer, exactly as in TreadMarks, where the faulting thread owns
-//     the reply socket.  Service threads must never wait() (they would
-//     deadlock the request/response cycle); they only send().
+//     the reply socket.
 //   - Each ticket completes exactly once: wait() consumes the reply, and
 //     waiting twice on the same ticket blocks forever.  wait_all()
 //     consumes a batch in whatever order the replies arrive.
 //   - send()/post() are async-signal-safe in the restricted sense the DSM
 //     relies on: they may run inside a SIGSEGV handler because faults
 //     only originate in application compute code, never inside fabric
-//     code on the same thread, so the handler can never observe its own
-//     thread holding a fabric lock.  wait() inside the handler is equally
-//     safe: the reply is produced by a different thread (a service
-//     thread), which is never interrupted by this fault.
+//     code or an inline handler on the same thread, so the fault handler
+//     can never observe its own thread holding a fabric lock or a
+//     handler's lock.  wait() inside the fault handler is safe too: the
+//     reply is produced either before post() returns (inline) or by
+//     another node's service thread, which this fault never interrupts.
 //
 // Two implementations ship behind this interface (selected with
 // make_transport / api::BackendOptions::transport / the --transport flag
@@ -47,6 +57,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -103,6 +114,18 @@ class Transport {
   /// Blocking receive of the next delivered message for (node, port).
   virtual Message recv(Port port, NodeId node) = 0;
 
+  /// Handles one service-port message; see serve_inline.
+  using ServiceHandler = std::function<void(Message&)>;
+
+  /// Offers to run `handler` on the sending thread, inside send(), for
+  /// every later service-port message to `node`, instead of queueing it
+  /// for recv().  Returns true when the fabric accepted; the node then
+  /// needs no service thread.  An empty handler withdraws a registration.
+  /// Call only while no thread sends to `node`.  The default refuses: a
+  /// fabric whose sends arrive on a receive thread (socket, mesh) or pay
+  /// a modelled wire cost keeps the queue and its service thread.
+  virtual bool serve_inline(NodeId node, ServiceHandler handler);
+
   // --- Split phase ---------------------------------------------------------
 
   /// Stamps msg.request_id from msg.src's counter, sends it on the service
@@ -136,7 +159,8 @@ class Transport {
 
   /// Sends kControlStop to node `n`'s service port.  In process mode each
   /// worker stops only the services it hosts — stopping a peer's service
-  /// would tear the mesh down under it.
+  /// would tear the mesh down under it.  An inline handler receives the
+  /// stop like any other message (the DSM's ignores it).
   void stop_service(NodeId n);
 
   /// Sends kControlStop to every service port (used at shutdown).

@@ -7,10 +7,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 
 #include "src/api/api.hpp"
 #include "src/api/reuse.hpp"
 #include "src/api/tmk_backend.hpp"
+#include "src/apps/graph/bfs.hpp"
 #include "src/apps/moldyn/moldyn_kernel.hpp"
 #include "src/apps/pagerank/pagerank.hpp"
 #include "src/apps/spmv/spmv.hpp"
@@ -825,6 +827,162 @@ TEST(CrossStepPrefetch, RebuildReadTrafficEqualWithoutEarlyExit) {
               r_on.tmk.cross_prefetch_consumes)
         << round_schedule_name(s);
   }
+}
+
+// The in-process fabric without a wire model serves each request on the
+// thread that sends it; a 1 ns wire model makes it refuse, so the same
+// fabric queues every request for a service thread per node.  The two
+// must be one protocol: bitwise-equal checksums, equal traffic and every
+// exact DSM counter equal.
+api::BackendOptions queued(api::BackendOptions opts) {
+  opts.wire.latency_us = 0.001;
+  return opts;
+}
+
+void expect_same_protocol(const DsmStats::Snapshot& inline_run,
+                          const DsmStats::Snapshot& queued_run,
+                          const std::string& label) {
+  for (const DsmCounter& c : kDsmCounters) {
+    if (c.gate != "exact") continue;
+    EXPECT_EQ(inline_run.*c.value, queued_run.*c.value)
+        << label << " " << c.name;
+  }
+}
+
+TEST(ServiceMode, InlineAndQueuedServiceAgreeExactly) {
+  apps::moldyn::Params mp;
+  mp.num_molecules = 512;
+  mp.num_steps = 6;
+  mp.update_interval = 3;
+  mp.box = 8.0;
+  mp.cutoff = 1.4;
+  mp.nprocs = 4;
+  const auto sys = apps::moldyn::make_system(mp);
+  apps::pagerank::Params pp;
+  pp.num_vertices = 1024;
+  pp.edges_per_vertex = 4;
+  pp.num_steps = 6;
+  pp.nprocs = 4;
+  apps::graph::Params gp;
+  gp.num_vertices = 1024;
+  gp.chords_per_vertex = 2;
+  gp.num_steps = 32;
+  gp.nprocs = 4;
+
+  struct Mode {
+    const char* name;
+    RoundSchedule schedule;
+    bool prefetch;
+  };
+  struct App {
+    const char* name;
+    BackendOptions defaults;
+    std::function<KernelResult(Backend, BackendOptions)> run;
+  };
+  const App apps_under_test[] = {
+      {"moldyn", apps::moldyn::default_options(),
+       [&](Backend b, BackendOptions o) {
+         o.region_bytes = 8u << 20;
+         return apps::moldyn::run(b, mp, sys, o);
+       }},
+      {"pagerank", apps::pagerank::default_options(),
+       [&](Backend b, BackendOptions o) {
+         return apps::pagerank::run(b, pp, o);
+       }},
+      {"bfs", apps::bfs::default_options(),
+       [&](Backend b, BackendOptions o) {
+         o.region_bytes = 16u << 20;
+         return apps::bfs::run(b, gp, o);
+       }},
+  };
+  for (const Mode m : {Mode{"serial", RoundSchedule::kSerial, false},
+                       Mode{"tournament+prefetch", RoundSchedule::kTournament,
+                            true}}) {
+    for (const App& app : apps_under_test) {
+      for (const Backend b : {Backend::kTmkBase, Backend::kTmkOptimized}) {
+        BackendOptions opts = app.defaults;
+        opts.round_schedule = m.schedule;
+        opts.cross_step_prefetch = m.prefetch;
+        const KernelResult inl = app.run(b, opts);
+        const KernelResult que = app.run(b, queued(opts));
+        const std::string label =
+            std::string(app.name) + " " + backend_name(b) + " " + m.name;
+        EXPECT_EQ(inl.checksum, que.checksum) << label;
+        EXPECT_EQ(inl.steps_run, que.steps_run) << label;
+        EXPECT_EQ(inl.messages, que.messages) << label;
+        EXPECT_EQ(inl.bytes, que.bytes) << label;
+        EXPECT_GT(inl.messages, 0u) << label;
+        expect_same_protocol(inl.tmk, que.tmk, label);
+      }
+    }
+  }
+}
+
+// Locks on both fabrics: in phase k node k % n takes the k % 3rd of three
+// locks homed at node 0, adds to that lock's counter and rewrites its own
+// block of a shared array.  The barrier after each phase fixes the acquire
+// order, so the traffic is deterministic and must match exactly.  The
+// locks live at the barrier manager because a home elsewhere would forward
+// a release's metas in its next barrier arrival only if the release
+// reached it first, which depends on timing; the manager's own arrival is
+// a loopback message and is not counted.
+struct LockRun {
+  std::uint64_t checksum = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t bytes = 0;
+  DsmStats::Snapshot stats;
+};
+
+LockRun run_lock_program(const net::WireModel& wire) {
+  constexpr std::uint32_t kNodes = 4;
+  constexpr int kPhases = 12;
+  constexpr std::size_t kBlock = 2048;
+  core::DsmConfig cfg;
+  cfg.num_nodes = kNodes;
+  cfg.region_bytes = 1u << 20;
+  cfg.wire = wire;
+  core::DsmRuntime rt(cfg);
+  const auto counters = rt.alloc_global<std::int64_t>(3);
+  const auto blocks = rt.alloc_global<std::int64_t>(kNodes * kBlock);
+  std::vector<std::uint64_t> sums(kNodes);
+  rt.run([&](core::DsmNode& self) {
+    for (int k = 0; k < kPhases; ++k) {
+      if (static_cast<NodeId>(k) % kNodes == self.id()) {
+        const int slot = k % 3;
+        const LockId lock = static_cast<LockId>(slot) * kNodes;
+        self.lock_acquire(lock);
+        std::int64_t* c = self.ptr(counters) + slot;
+        *c = *c * 3 + k + 1;
+        std::int64_t* mine = self.ptr(blocks) + self.id() * kBlock;
+        for (std::size_t i = 0; i < kBlock; i += 97) mine[i] += *c;
+        self.lock_release(lock);
+      }
+      self.barrier();
+    }
+    // Unsigned, so the hash wraps instead of overflowing.
+    std::uint64_t sum = 0;
+    for (int c = 0; c < 3; ++c) {
+      sum = sum * 31 + static_cast<std::uint64_t>(self.ptr(counters)[c]);
+    }
+    for (std::size_t i = 0; i < kNodes * kBlock; ++i) {
+      sum = sum * 7 + static_cast<std::uint64_t>(self.ptr(blocks)[i]);
+    }
+    sums[self.id()] = sum;
+  });
+  for (const std::uint64_t s : sums) EXPECT_EQ(s, sums[0]);
+  return LockRun{sums[0], rt.total_messages(), rt.network().stats().bytes(),
+                 rt.stats().snapshot()};
+}
+
+TEST(ServiceMode, LockProgramAgreesExactly) {
+  const LockRun inl = run_lock_program(net::WireModel{});
+  const LockRun que = run_lock_program(queued(BackendOptions{}).wire);
+  EXPECT_EQ(inl.checksum, que.checksum);
+  EXPECT_EQ(inl.messages, que.messages);
+  EXPECT_EQ(inl.bytes, que.bytes);
+  EXPECT_GT(inl.messages, 0u);
+  EXPECT_EQ(inl.stats.lock_acquires, 12u);
+  expect_same_protocol(inl.stats, que.stats, "locks");
 }
 
 TEST(CrossBackend, OptimizedAggregationBeatsDemandPaging) {

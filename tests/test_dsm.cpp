@@ -6,8 +6,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <thread>
 
 #include "src/core/dsm.hpp"
 
@@ -44,6 +47,27 @@ double resident_mb() {
   statm >> size >> resident;
   return static_cast<double>(resident) *
          static_cast<double>(sysconf(_SC_PAGESIZE)) / (1 << 20);
+}
+
+/// Threads of this process (/proc/self/task), read once the count has held
+/// still for a moment, so threads an earlier test joined have left it.
+std::ptrdiff_t thread_count() {
+  const auto count = [] {
+    std::ptrdiff_t n = 0;
+    for (const auto& task :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)task;
+      ++n;
+    }
+    return n;
+  };
+  std::ptrdiff_t n = count();
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const std::ptrdiff_t again = count();
+    if (again == n) return n;
+    n = again;
+  }
 }
 
 TEST(Dsm, SingleNodeReadWrite) {
@@ -355,6 +379,105 @@ TEST(Dsm, WireModelRunStillCorrect) {
     self.barrier();
     for (int i = 0; i < 2048; ++i) EXPECT_EQ(p[i], i ^ 0x55);
   });
+}
+
+// Without a wire model the in-process fabric runs each node's handlers on
+// the threads that send to it, so a threads-mode runtime starts no thread
+// of its own.  A wire model keeps one service thread per node, and the
+// socket fabric adds its switch and one demux thread per node to those.
+TEST(Dsm, InlineFabricStartsNoServiceThread) {
+  constexpr std::uint32_t kNodes = 4;
+  const auto growth = [](const DsmConfig& cfg) {
+    const std::ptrdiff_t before = thread_count();
+    DsmRuntime rt(cfg);
+    return thread_count() - before;
+  };
+  EXPECT_EQ(growth(small_config(kNodes)), 0);
+  DsmConfig wired = small_config(kNodes);
+  wired.wire.latency_us = 0.001;
+  EXPECT_EQ(growth(wired), kNodes);
+  DsmConfig socket = small_config(kNodes);
+  socket.transport = net::TransportKind::kSocket;
+  EXPECT_EQ(growth(socket), kNodes + 1 + kNodes);
+}
+
+// Concurrent service from one store: each round node 0 rewrites 64 pages,
+// and after the barrier the seven other nodes read all of them, so their
+// read faults are served concurrently from node 0's diff store while every
+// node also bumps a lock-protected counter homed at node 5.
+//
+// Node 0 takes the lock right after the barrier, often before node 5's
+// compute thread has recorded the barrier's metas, so its release can
+// reach the home ahead of them and wait in MetaLog::ahead; the inline
+// fabric hits that window in most runs.  The jitter variant runs the same
+// program with service threads and scrambled delivery.
+void concurrent_faults_and_lock(const DsmConfig& cfg) {
+  constexpr std::size_t kPages = 64;
+  constexpr int kRounds = 8;
+  DsmRuntime rt(cfg);
+  const std::size_t per_page = rt.page_size() / sizeof(std::int64_t);
+  const auto data = rt.alloc_global<std::int64_t>(kPages * per_page);
+  const auto counter = rt.alloc_global<std::int64_t>(1);
+  std::atomic<int> wrong_data{0};
+  std::atomic<int> wrong_count{0};
+  rt.run([&](DsmNode& self) {
+    std::int64_t* p = self.ptr(data);
+    for (int round = 1; round <= kRounds; ++round) {
+      if (self.id() == 0) {
+        for (std::size_t i = 0; i < kPages * per_page; i += 61) {
+          p[i] = round * 1000003 + static_cast<std::int64_t>(i);
+        }
+      }
+      self.barrier();
+      if (self.id() != 0) {
+        for (std::size_t i = 0; i < kPages * per_page; i += 61) {
+          if (p[i] != round * 1000003 + static_cast<std::int64_t>(i)) {
+            ++wrong_data;
+          }
+        }
+      }
+      self.lock_acquire(5);
+      ++*self.ptr(counter);
+      self.lock_release(5);
+      self.barrier();
+      const auto expected = round * static_cast<std::int64_t>(cfg.num_nodes);
+      if (*self.ptr(counter) != expected) {
+        ++wrong_count;
+      }
+    }
+  });
+  EXPECT_EQ(wrong_data.load(), 0);
+  EXPECT_EQ(wrong_count.load(), 0);
+  EXPECT_EQ(rt.stats().lock_acquires.get(), cfg.num_nodes * kRounds);
+}
+
+TEST(Dsm, ConcurrentFaultsServeFromOneStore) {
+  concurrent_faults_and_lock(small_config(8));
+}
+
+TEST(Dsm, ConcurrentFaultsServeFromOneStoreUnderJitter) {
+  DsmConfig cfg = small_config(8);
+  cfg.wire.jitter_us = 50;
+  concurrent_faults_and_lock(cfg);
+}
+
+TEST(MetaLog, HoldsMetasThatArriveAheadOfAGap) {
+  const auto meta = [](std::uint32_t seq) {
+    IntervalMeta m;
+    m.id = IntervalId{2, seq};
+    return m;
+  };
+  MetaLog log;
+  log.insert(meta(1));
+  log.insert(meta(3));
+  log.insert(meta(4));
+  log.insert(meta(3));
+  EXPECT_EQ(log.max_seq(), 1u);
+  EXPECT_EQ(log.ahead.size(), 2u);
+  log.insert(meta(2));
+  EXPECT_EQ(log.max_seq(), 4u);
+  EXPECT_TRUE(log.ahead.empty());
+  for (std::uint32_t s = 1; s <= 4; ++s) EXPECT_EQ(log.get(s).id.seq, s);
 }
 
 // Per-node page metadata covers the allocated heap, not the reserved

@@ -429,6 +429,62 @@ TEST(Network, JitterStillDeliversEverything) {
   EXPECT_EQ(got, 200);
 }
 
+// ---------------------------------------------------------------------------
+// Inline service: without a wire model the in-process fabric runs a
+// registered handler on the sending thread.
+// ---------------------------------------------------------------------------
+
+TEST(Network, InlineHandlerRunsOnTheSendingThread) {
+  InProcTransport net(2);
+  std::thread::id served_on;
+  ASSERT_TRUE(net.serve_inline(1, [&](Message& req) {
+    served_on = std::this_thread::get_id();
+    net.send(Port::kReply,
+             make(req.type + 1000, 1, req.src, req.request_id, 8));
+  }));
+  const Ticket t = net.post(make(5, 0, 1, 0, 16));
+  EXPECT_EQ(served_on, std::this_thread::get_id());
+  // The reply is queued before post returns.
+  const auto reply = net.poll(t);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, 1005u);
+  // Accounting is unchanged: one request and one reply.
+  EXPECT_EQ(net.stats().messages(), 2u);
+  EXPECT_EQ(net.stats().bytes(), 24u);
+
+  // Withdrawn, the service port queues for recv() again.
+  EXPECT_TRUE(net.serve_inline(1, {}));
+  net.send(Port::kService, make(6, 0, 1));
+  EXPECT_EQ(net.recv(Port::kService, 1).type, 6u);
+}
+
+TEST(Network, WireModelAndSocketsRefuseInlineHandlers) {
+  WireModel wire;
+  wire.latency_us = 0.001;
+  InProcTransport modelled(2, wire);
+  EXPECT_FALSE(modelled.serve_inline(1, [](Message&) {}));
+  modelled.send(Port::kService, make(3, 0, 1));
+  EXPECT_EQ(modelled.recv(Port::kService, 1).type, 3u);
+  SocketTransport sockets(2);
+  EXPECT_FALSE(sockets.serve_inline(1, [](Message&) {}));
+}
+
+// A handler may send only on reply ports: a nested handler could wait on
+// a lock its caller holds.
+void send_on_service_port_from_inline_handler() {
+  InProcTransport net(3);
+  net.serve_inline(1, [&](Message&) {
+    net.send(Port::kService, make(2, 1, 2));
+  });
+  net.send(Port::kService, make(1, 0, 1));
+}
+
+TEST(NetworkDeathTest, InlineHandlerSendingOnServicePortAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(send_on_service_port_from_inline_handler(),
+               "inline service handler sent on a service port");
+}
+
 TEST(Network, ReplyMatchingUnderJitter) {
   // Jittered delivery scrambles reply readiness; wait() must still hand
   // each ticket its own reply, and wait_all must not mix them up.
